@@ -31,9 +31,9 @@ import numpy as np
 from .kernels import KernelSpec, StatePoint, evaluate, gram, gram_packed, pack
 from .linalg import (
     NearSingularExtensionError,
-    SINGULAR_TOL,
     SpdInverse,
     dense_spd_inverse,
+    in_order_inverse,
     schur_extend,
 )
 
@@ -114,8 +114,6 @@ class Dictionary:
 
     def cross_vector(self, spec: KernelSpec, s: StatePoint) -> np.ndarray:
         """K_Z(s): kernel of s against every anchor."""
-        if self.size == 0:
-            return np.zeros(0)
         return gram_packed(
             spec, self._packed, s.joint[None, :], context_dim=s.context.size
         )[:, 0]
@@ -141,10 +139,7 @@ class Dictionary:
         self.anchors.append(s)
         self.probs.append(prob)
         self.steps.append(step)
-        if self.size == 1:
-            self._packed = s.joint[None, :].copy()
-        else:
-            self._packed = np.vstack([self._packed, s.joint])
+        self._packed = np.vstack([self._packed.reshape(-1, s.joint.size), s.joint])
         return True
 
     def seed(self, spec: KernelSpec, s: StatePoint, step: int = 0) -> None:
@@ -161,11 +156,8 @@ def _score_parts(
         raise ValueError("params.mu differs from the dictionary's mu")
     k_self = evaluate(spec, s, s)
     kz = d.cross_vector(spec, s)
-    if d.size == 0:
-        r = 0.0
-    else:
-        v = kz / np.sqrt(np.asarray(d.probs))
-        r = float(v @ (d.score_inverse.matrix @ v))
+    v = kz / np.sqrt(np.asarray(d.probs))
+    r = float(v @ (d.score_inverse.matrix @ v))
     gap = max(k_self - r, 0.0)
     denom = max(k_self + params.mu - r, params.mu)
     tau = (1.0 + params.epsilon) * gap / denom
@@ -212,14 +204,10 @@ def projection_error(
     """
     if len(history) == 0:
         return 0.0
-    k_ss = gram(spec, history, history)
-    if d.size == 0:
-        resid = k_ss
-    else:
-        k_sz = gram(spec, history, d.anchors)
-        k_zz = gram(spec, d.anchors, d.anchors)
-        inv = dense_spd_inverse(k_zz, jitter=1e-10 * spec.kappa**2)
-        resid = k_ss - k_sz @ (inv.matrix @ k_sz.T)
+    k_sz = gram(spec, history, d.anchors)
+    k_zz = gram(spec, d.anchors, d.anchors)
+    inv = dense_spd_inverse(k_zz, jitter=1e-10 * spec.kappa**2)
+    resid = gram(spec, history, history) - k_sz @ (inv.matrix @ k_sz.T)
     eigs = np.linalg.eigvalsh(0.5 * (resid + resid.T))
     return float(eigs[-1])
 
@@ -232,14 +220,25 @@ def rebuild_dictionary(
     spec: KernelSpec,
     rng: np.random.Generator,
 ) -> Dictionary:
-    """Construct a dictionary from scratch with dense inverses.
+    """Construct a dictionary from scratch out of one gram and one factorization.
 
     Used by the resampling baseline, which periodically throws its anchor set
-    away; near-duplicate anchors are skipped the same way the online path
-    rejects them.
+    away.  ``in_order_inverse`` drops a state whose pivot squared, its Schur
+    complement against the states kept before it, is below ``SINGULAR_TOL``,
+    the rule online admission applies, and counts it in ``rejected_duplicates``.
     """
-    d = Dictionary(mu=mu, rng=rng)
-    for s, p, step in zip(states, probs, steps):
-        kz = d.cross_vector(spec, s)
-        d._admit(spec, s, float(p), step, kz)
-    return d
+    packed = pack(states)
+    k = gram_packed(spec, packed, packed, context_dim=states[0].context.size)
+    kept, kzz_inverse = in_order_inverse(k)
+    weights = 1.0 / np.sqrt(probs[kept])
+    scaled = k[np.ix_(kept, kept)] * np.outer(weights, weights)
+    return Dictionary(
+        mu=mu,
+        rng=rng,
+        anchors=[states[i] for i in kept],
+        probs=[float(probs[i]) for i in kept],
+        steps=[steps[i] for i in kept],
+        kzz_inverse=kzz_inverse,
+        score_inverse=dense_spd_inverse(scaled + mu * np.eye(kept.size)),
+        rejected_duplicates=len(states) - kept.size,
+    )

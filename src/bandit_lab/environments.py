@@ -101,10 +101,20 @@ class Environment:
 
     def mean_on_grid(self, x: np.ndarray) -> np.ndarray:
         """Noiseless mean reward of every grid action under context x."""
+        return self._mean(x, self._grid)
+
+    def reward_mean(self, x: np.ndarray, a: np.ndarray) -> float:
+        """Noiseless mean reward of one (context, action) pair, on or off the grid."""
+        a = _check_unit(a, "action")
+        if a.size != 1:
+            raise ValueError("actions are one-dimensional")
+        return float(self._mean(x, a)[0])
+
+    def _mean(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Mean reward under context x of every action in the 1-d array ``a``."""
         x = _check_unit(x, "context")
         if x.size != self.spec.context_dim:
             raise ValueError("context dimension mismatch")
-        a = self._grid
         family = self.spec.family
         if family == "bump":
             tilt = float(self.tilt @ (x - self.context_star))
@@ -124,49 +134,17 @@ class Environment:
             return out
         return self.theta_star[:-1] @ x + self.theta_star[-1] * a
 
-    def reward_mean(self, x: np.ndarray, a: np.ndarray) -> float:
-        """Noiseless mean reward of one (context, action) pair."""
-        x = _check_unit(x, "context")
-        a = _check_unit(a, "action")
-        if a.size != 1:
-            raise ValueError("actions are one-dimensional")
-        idx = self._grid_index(a, strict=False)
-        if idx is not None:
-            return float(self.mean_on_grid(x)[idx])
-        # off-grid query: evaluate the mean directly
-        spec = self.spec
-        if spec.family == "bump":
-            tilt = float(self.tilt @ (x - self.context_star))
-            return max(0.0, 1.0 - abs(float(a[0]) - self.action_star) - tilt)
-        if spec.family == "chessboard":
-            n = spec.chessboard_cells
-            i = min(int(x[0] * n), n - 1)
-            j = min(int(a[0] * n), n - 1)
-            return _CELL_VALUES[(i * n + j) % 3]
-        if spec.family == "step_diagonal":
-            d = float(a[0]) - float(x[0])
-            w = spec.band_width
-            if abs(d) < w:
-                return 1.0
-            if -2 * w < d <= -w:
-                return 0.5
-            return 0.0
-        return float(self.theta_star[:-1] @ x + self.theta_star[-1] * a[0])
-
-    def _grid_index(self, a: np.ndarray, strict: bool) -> int | None:
+    def _grid_index(self, a: np.ndarray) -> int:
         guess = int(round(float(a[0]) * (self.spec.action_grid - 1)))
         guess = min(max(guess, 0), self.spec.action_grid - 1)
-        if abs(self._grid[guess] - float(a[0])) <= 1e-9:
-            return guess
-        if strict:
+        if abs(self._grid[guess] - float(a[0])) > 1e-9:
             raise ValueError("action is not on the environment's grid")
-        return None
+        return guess
 
     def step(self, x: np.ndarray, a: np.ndarray) -> RoundOutcome:
         """Play grid action ``a`` under context ``x``; one noise draw."""
-        x = _check_unit(x, "context")
         a = _check_unit(a, "action")
-        idx = self._grid_index(a, strict=True)
+        idx = self._grid_index(a)
         means = self.mean_on_grid(x)
         chosen = float(means[idx])
         noise = float(self._noise_rng.normal(0.0, self.spec.noise_sigma))

@@ -9,7 +9,8 @@ the inverse of a growing SPD matrix directly, via two primitives:
 Both return a fresh ``SpdInverse`` and re-symmetrize the result, so roundoff
 asymmetry cannot compound over thousands of updates.  A dense
 factorization-based inverse is also provided; it serves as the ground truth in
-tests and as the rebuild path for policies that refactor periodically.
+tests and as the rebuild path for policies that refactor periodically; an
+in-order variant applies the one-row extension's singularity rule at once.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ class SpdInverse:
     @staticmethod
     def empty() -> "SpdInverse":
         return SpdInverse(np.zeros((0, 0)))
-
-    def copy(self) -> "SpdInverse":
-        return SpdInverse(self.matrix.copy())
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -161,6 +159,30 @@ def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
         inv = scipy.linalg.cho_solve(cf, np.eye(candidate.shape[0]))
         return SpdInverse(_symmetrize(inv))
     raise FactorizationError("matrix not positive definite after jitter")
+
+
+def in_order_inverse(m: np.ndarray) -> tuple[np.ndarray, SpdInverse]:
+    """Kept rows of a symmetric ``m`` and the inverse of m[kept][:, kept].
+
+    An in-order Cholesky factorization drops row i when its pivot squared, its
+    Schur complement against the rows kept before it, is below SINGULAR_TOL:
+    the rule ``schur_extend`` applies one row at a time.  With nothing dropped
+    this is one LAPACK call; a dropped row restarts it on the rows after it.
+    """
+    kept, rest, lower = np.zeros(0, dtype=int), np.arange(m.shape[0]), np.zeros((0, 0))
+    while rest.size:
+        # the rows left, eliminated against the rows kept so far
+        panel = scipy.linalg.solve_triangular(lower, m[np.ix_(kept, rest)], lower=True).T
+        schur = m[np.ix_(rest, rest)] - panel @ panel.T
+        c, info = scipy.linalg.lapack.dpotrf(schur, lower=1, clean=1)
+        # LAPACK stops at the first pivot that is not positive
+        pivots = np.diag(c)[: info - 1 if info > 0 else rest.size] ** 2
+        small = np.flatnonzero(pivots < SINGULAR_TOL)
+        stop = int(small[0]) if small.size else pivots.size
+        lower = np.block([[lower, np.zeros((kept.size, stop))], [panel[:stop], c[:stop, :stop]]])
+        kept, rest = np.append(kept, rest[:stop]), rest[stop + 1 :]
+    inv = scipy.linalg.cho_solve((lower, True), np.eye(kept.size))
+    return kept, SpdInverse(_symmetrize(inv))
 
 
 def log_det_ratio(k_prev: np.ndarray, k_new: np.ndarray, lam: float) -> float:

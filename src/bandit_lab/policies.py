@@ -20,7 +20,10 @@ The projected posterior with anchors Z, history S, rewards Y uses
     mean(s) = K_Z(s)^T Lam Gam
     var(s)  = k(s, s) / lam + K_Z(s)^T (Lam - K_ZZ^{-1} / lam) K_Z(s)
 
-and coincides with the exact posterior whenever Z spans the history.
+and coincides with the exact posterior whenever Z spans the history.  Both
+projected policies rebuild Lam and Gam densely through one method, which
+``refactor`` and every resample call; a resample's anchors and their inverses
+come from one in-order Cholesky factorization in ``rebuild_dictionary``.
 """
 
 from __future__ import annotations
@@ -378,7 +381,17 @@ class ProjectedKernelUcb:
             self.refactor()
 
     def refactor(self) -> None:
-        """Rebuild all maintained inverses densely; drift recovery path."""
+        """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path."""
+        kzz = self._dense_posterior()
+        self.dictionary.kzz_inverse = dense_spd_inverse(kzz, jitter=self._jitter)
+        weights = 1.0 / np.sqrt(np.asarray(self.dictionary.probs))
+        scaled = kzz * np.outer(weights, weights)
+        self.dictionary.score_inverse = dense_spd_inverse(
+            scaled + self.kors.mu * np.eye(scaled.shape[0]), jitter=self._jitter
+        )
+
+    def _dense_posterior(self) -> np.ndarray:
+        """Rebuild Lam and Gam from the cross block; returns the anchor gram K_ZZ."""
         kzs = self.cross
         kzz = gram_packed(
             self.kernel,
@@ -389,12 +402,7 @@ class ProjectedKernelUcb:
         base = kzs @ kzs.T + self.lam * kzz
         self.lambda_inverse = dense_spd_inverse(base, jitter=self._jitter)
         self.gamma_vec = kzs @ self.rewards
-        self.dictionary.kzz_inverse = dense_spd_inverse(kzz, jitter=self._jitter)
-        weights = 1.0 / np.sqrt(np.asarray(self.dictionary.probs))
-        scaled = kzz * np.outer(weights, weights)
-        self.dictionary.score_inverse = dense_spd_inverse(
-            scaled + self.kors.mu * np.eye(scaled.shape[0]), jitter=self._jitter
-        )
+        return kzz
 
     def dictionary_rows(self) -> list[tuple]:
         """(anchor index, admission step, inclusion prob, joint coords...)."""
@@ -411,9 +419,11 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
     Between resamples the dictionary never grows; each round only performs the
     rank-one update.  The posterior variance of every chosen action is summed,
     and once the sum since the last resample exceeds threshold - 1 the whole
-    dictionary is redrawn from all past states by leverage-score sampling and
-    every maintained object is rebuilt densely at O(t m^2) cost.  A threshold
-    of 1 therefore resamples every round, and infinity never does.
+    dictionary is redrawn from all past states by leverage-score sampling.  A
+    threshold of 1 therefore resamples every round, and infinity never does.
+    A resample costs O(t m^2): ``rebuild_dictionary`` factors the drawn states'
+    gram once, in order, dropping a state whose pivot squared is below
+    ``SINGULAR_TOL``, and Lam and Gam are rebuilt as in ``refactor``.
     """
 
     def __init__(
@@ -443,8 +453,8 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         if self.accumulated_variance > self.accumulation_threshold - 1.0:
             self._resample()
 
-    def _estimated_scores(self) -> np.ndarray:
-        """Leverage-score estimates of all past states under the current anchors."""
+    def _resample(self) -> None:
+        # leverage-score estimates of all past states under the current anchors
         d = self.dictionary
         kdiag = diag_packed(self.kernel, self.history, context_dim=self._context_dim)
         weights = 1.0 / np.sqrt(np.asarray(d.probs))
@@ -452,12 +462,9 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         r = np.einsum("ij,ij->i", v @ d.score_inverse.matrix, v)
         gap = np.maximum(kdiag - r, 0.0)
         denom = np.maximum(kdiag + self.kors.mu - r, self.kors.mu)
-        return (1.0 + self.kors.epsilon) * gap / denom
-
-    def _resample(self) -> None:
-        tau = self._estimated_scores()
+        tau = (1.0 + self.kors.epsilon) * gap / denom
         probs = np.clip(self.kors.gamma * tau, 0.0, 1.0)
-        keep = self.dictionary.rng.uniform(size=probs.shape[0]) < probs
+        keep = d.rng.uniform(size=probs.shape[0]) < probs
         if not keep.any():
             # an empty dictionary cannot score anything; force the most
             # informative state in at probability 1
@@ -471,7 +478,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             [self.t - 1] * idx.size,
             self.kors.mu,
             self.kernel,
-            self.dictionary.rng,
+            d.rng,
         )
         kzs = gram_packed(
             self.kernel,
@@ -479,19 +486,10 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             self.history,
             context_dim=self._context_dim,
         )
-        kzz = gram_packed(
-            self.kernel,
-            self.dictionary.packed,
-            self.dictionary.packed,
-            context_dim=self._context_dim,
-        )
-        self.lambda_inverse = dense_spd_inverse(
-            kzs @ kzs.T + self.lam * kzz, jitter=self._jitter
-        )
-        self.gamma_vec = kzs @ self.rewards
         self._cross = GrowableMatrix(self.dictionary.size)
         for row in kzs.T:
             self._cross.append_row(row)
+        self._dense_posterior()
         self.accumulated_variance = 0.0
         self.resample_count += 1
 

@@ -12,6 +12,7 @@ from bandit_lab.dictionary import (
     rebuild_dictionary,
 )
 from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram
+from bandit_lab.linalg import dense_spd_inverse
 
 GAUSS = KernelSpec("gaussian", bandwidth=0.4)
 
@@ -149,6 +150,36 @@ def test_leverage_score_invariant_to_anchor_order():
         assert leverage_score(d, s, params, GAUSS) == pytest.approx(
             leverage_score(shuffled, s, params, GAUSS), abs=1e-9
         )
+
+
+def test_rebuild_rejects_duplicates_like_online_admission():
+    rng = np.random.default_rng(26)
+    states = [random_state(rng) for _ in range(12)]
+    # an exact duplicate of state 1 and a near-duplicate of state 3, whose
+    # Schur complement 1 - k^2 is about 1e-13, below SINGULAR_TOL
+    near = StatePoint(states[3].context + 1e-7, states[3].action)
+    states = states[:6] + [states[1], states[6], near] + states[7:]
+    online = Dictionary(mu=1.0, rng=np.random.default_rng(27))
+    params = KorsParams(mu=1.0, gamma=math.inf)
+    for t, s in enumerate(states):
+        kors_step(online, t, s, params, GAUSS)
+    probs = np.linspace(0.3, 1.0, len(states))
+    d = rebuild_dictionary(
+        states, probs, list(range(len(states))), 1.0, GAUSS, np.random.default_rng(28)
+    )
+    assert online.rejected_duplicates == 2
+    assert d.rejected_duplicates == 2
+    assert d.anchors == online.anchors
+    assert d.steps == online.steps == [0, 1, 2, 3, 4, 5, 7] + list(range(9, 14))
+    assert d.probs == [probs[i] for i in d.steps]
+    kzz = gram(GAUSS, d.anchors, d.anchors)
+    weights = 1.0 / np.sqrt(np.array(d.probs))
+    scaled = kzz * np.outer(weights, weights) + d.mu * np.eye(d.size)
+    for mine, want in (
+        (d.kzz_inverse.matrix, dense_spd_inverse(kzz).matrix),
+        (d.score_inverse.matrix, dense_spd_inverse(scaled).matrix),
+    ):
+        assert np.linalg.norm(mine - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_dictionary_size_shrinks_with_mu():

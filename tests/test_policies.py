@@ -190,17 +190,23 @@ def test_projected_incremental_state_matches_dense_rebuild():
 
 
 def test_refactor_is_a_no_op_on_healthy_state():
+    # both callers of the dense builder: online growth, and resampling, whose
+    # state comes from rebuild_dictionary plus the shared posterior rebuild
     rng = np.random.default_rng(4)
-    policy = make_projected(gamma=4.0, seed=11)
-    for _ in range(40):
-        policy.update(random_state(rng), rng.normal())
+    projected = make_projected(gamma=4.0, seed=11)
+    resampling = make_resampling(1.5, seed=5, lam=10.0)
+    for policy in (projected, resampling):
+        for _ in range(40):
+            policy.update(random_state(rng), rng.normal())
+    assert resampling.resample_count >= 2
     ctx = np.array([0.5, 0.5])
     queries = np.linspace(0, 1, 9)[:, None]
-    before = policy.scores(ctx, queries)
-    policy.refactor()
-    after = policy.scores(ctx, queries)
-    assert np.allclose(before[0], after[0], atol=1e-9)
-    assert np.allclose(before[1], after[1], atol=1e-9)
+    for policy in (projected, resampling):
+        before = policy.scores(ctx, queries)
+        policy.refactor()
+        after = policy.scores(ctx, queries)
+        assert np.allclose(before[0], after[0], atol=1e-9)
+        assert np.allclose(before[1], after[1], atol=1e-9)
 
 
 def test_periodic_refactor_runs():
