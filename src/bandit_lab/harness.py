@@ -99,6 +99,8 @@ class RunRecord:
     dictionary_sizes: list[int] = field(default_factory=list)
     wall_ns: list[int] = field(default_factory=list)
     error: str | None = None
+    rebuilds: int = 0
+    resamples: int = 0
     states: list[StatePoint] | None = None
     dictionary_rows: list[tuple] | None = None
 
@@ -153,6 +155,8 @@ def run_single(
         record.wall_ns.append((mid - started) + (finished - resumed))
         if collect_states:
             record.states.append(s)
+    record.rebuilds = sum(getattr(policy, "rebuilds", {}).values())
+    record.resamples = getattr(policy, "resample_count", 0)
     if config.dump_dictionary and hasattr(policy, "dictionary_rows"):
         record.dictionary_rows = policy.dictionary_rows()
     return record
@@ -291,7 +295,8 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
     summary_path = os.path.join(out_dir, "summary.csv")
     lines = [
         "label,policy,seeds,mean_total_regret,std_total_regret,"
-        "mean_total_wall_s,std_total_wall_s,mean_final_dictionary_size,errors"
+        "mean_total_wall_s,std_total_wall_s,mean_final_dictionary_size,errors,"
+        "rebuilds,resamples"
     ]
     for cell in cells:
         regrets = cell.total_regrets
@@ -311,6 +316,8 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
                     float(walls.std()) if walls.size else math.nan,
                     float(sizes.mean()) if sizes.size else math.nan,
                     errors,
+                    sum(r.rebuilds for r in cell.records),
+                    sum(r.resamples for r in cell.records),
                 )
             )
         )

@@ -250,6 +250,8 @@ class ProjectedKernelUcb:
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
         self.refactor_every = refactor_every
+        # dense rebuilds by the reason that triggered them
+        self.rebuilds = {"singular_update": 0, "indefinite_admission": 0, "periodic": 0}
         self._context_dim: int | None = None
         self._jitter = 1e-10 * kernel.kappa**2
 
@@ -343,6 +345,7 @@ class ProjectedKernelUcb:
             )
             self.gamma_vec = self.gamma_vec + reward * kz
         except LinalgError:
+            self.rebuilds["singular_update"] += 1
             self.refactor()
         return kz
 
@@ -366,6 +369,7 @@ class ProjectedKernelUcb:
                 self.lambda_inverse, b, c, self._jitter
             )
         except LinalgError:
+            self.rebuilds["indefinite_admission"] += 1
             self.refactor()
 
     def update(self, s: StatePoint, reward: float) -> None:
@@ -378,6 +382,7 @@ class ProjectedKernelUcb:
             assert self.dictionary.size == before + 1
             self._admit_anchor(s, kz)
         if self.refactor_every is not None and self.t % self.refactor_every == 0:
+            self.rebuilds["periodic"] += 1
             self.refactor()
 
     def refactor(self) -> None:

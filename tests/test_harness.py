@@ -124,6 +124,14 @@ def test_collect_states():
     assert record.states[0].context.size == config.env.context_dim
 
 
+def test_run_single_counts_rebuilds_and_resamples():
+    config = small_config(**{"policy.name": "ekucb", "policy.refactor_every": "10"})
+    ekucb = run_single(config, 0)
+    assert (ekucb.rebuilds, ekucb.resamples) == (2, 0)  # periodic at t = 10, 20
+    cbkb = run_single(small_config(**{"policy.name": "cbkb"}), 0)
+    assert (cbkb.rebuilds, cbkb.resamples) == (0, cbkb.rounds - 1)
+
+
 def test_run_single_marks_failures():
     # an accumulation threshold below 1 is rejected at construction time
     config = variant_config(
@@ -240,6 +248,7 @@ def test_emit_outputs(tmp_path):
         assert int(row["errors"]) == 0
         assert float(row["mean_total_regret"]) >= 0.0
         assert float(row["mean_total_wall_s"]) > 0.0
+        assert (row["rebuilds"], row["resamples"]) == ("0", "0")
     assert float(rows[1]["mean_final_dictionary_size"]) > 0
     with open(tmp_path / "dictionary_sparse_0.csv") as fh:
         dict_rows = list(csv.DictReader(fh))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -195,3 +199,32 @@ def test_spd_inverse_shape_validation():
         sherman_morrison_update(SpdInverse(np.eye(2)), np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         schur_extend(SpdInverse(np.eye(2)), np.ones(3), 1.0)
+
+
+# -- start-up: scipy.linalg is loaded on the first factorization, not at import
+
+IMPORT_PROBE = """
+import sys
+import numpy as np
+import bandit_lab, bandit_lab.cli
+from bandit_lab.config import build_run_config
+from bandit_lab.harness import build_policy
+from bandit_lab.linalg import dense_spd_inverse
+loaded = ["scipy.linalg" in sys.modules]
+build_policy(build_run_config({"policy.name": "kucb"}), 0)
+loaded.append("scipy.linalg" in sys.modules)
+dense_spd_inverse(2 * np.eye(3))
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_linalg_loads_on_first_factorization():
+    # a fresh interpreter: this process may have loaded scipy.linalg already
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[False, False, True]"

@@ -216,6 +216,7 @@ def test_periodic_refactor_runs():
         policy.update(random_state(rng), rng.normal())
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
+    assert policy.rebuilds["periodic"] == 3  # at t = 10, 20, 30
 
 
 def test_indefinite_admission_recovers_via_dense_rebuild():
@@ -228,6 +229,7 @@ def test_indefinite_admission_recovers_via_dense_rebuild():
     policy.lambda_inverse = SpdInverse(policy.lambda_inverse.matrix * 1e9)
     policy.update(random_state(rng), 0.5)
     assert policy.dictionary.size == 7
+    assert policy.rebuilds["indefinite_admission"] == 1
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
@@ -246,6 +248,7 @@ def test_singular_rank_one_update_recovers_via_dense_rebuild():
         -np.eye(1) * (1.0 - 1e-14) / float(kz @ kz)
     )
     policy.update(s, -0.25)
+    assert policy.rebuilds["singular_update"] == 1
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
