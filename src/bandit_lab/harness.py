@@ -101,6 +101,7 @@ class RunRecord:
     error: str | None = None
     rebuilds: int = 0
     resamples: int = 0
+    rejected_duplicates: int = 0
     states: list[StatePoint] | None = None
     dictionary_rows: list[tuple] | None = None
 
@@ -157,6 +158,7 @@ def run_single(
             record.states.append(s)
     record.rebuilds = sum(getattr(policy, "rebuilds", {}).values())
     record.resamples = getattr(policy, "resample_count", 0)
+    record.rejected_duplicates = getattr(policy, "rejected_duplicates", 0)
     if config.dump_dictionary and hasattr(policy, "dictionary_rows"):
         record.dictionary_rows = policy.dictionary_rows()
     return record
@@ -296,7 +298,7 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
     lines = [
         "label,policy,seeds,mean_total_regret,std_total_regret,"
         "mean_total_wall_s,std_total_wall_s,mean_final_dictionary_size,errors,"
-        "rebuilds,resamples"
+        "rebuilds,resamples,rejected_duplicates"
     ]
     for cell in cells:
         regrets = cell.total_regrets
@@ -318,6 +320,7 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
                     errors,
                     sum(r.rebuilds for r in cell.records),
                     sum(r.resamples for r in cell.records),
+                    sum(r.rejected_duplicates for r in cell.records),
                 )
             )
         )

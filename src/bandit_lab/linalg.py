@@ -12,16 +12,31 @@ factorization-based inverse is also provided; it serves as the ground truth in
 tests and as the rebuild path for policies that refactor periodically; an
 in-order variant applies the one-row extension's singularity rule at once.
 
-``scipy`` is imported bare and every call is spelled ``scipy.linalg.<name>``.
-scipy loads ``scipy.linalg`` on first attribute access, so a process pays for
-that import, about half of the package's import time, only when a run first
-factors a matrix; ``kucb``, ``random`` and drift-free ``ekucb`` runs never do.  The module-level name also lets a caller swap ``linalg.scipy`` for a
-view, as the benchmark tracer does to count ``cho_factor`` attempts; a
-function-level ``import scipy.linalg`` would bypass such a view silently.
+``scipy`` is imported bare and every call goes through ``_lapack()``, which
+reads ``scipy.linalg``.  scipy loads ``scipy.linalg`` on first attribute
+access, so a process pays for that import, about half of the package's import
+time, only when a run first factors a matrix; ``kucb``, ``random`` and
+drift-free ``ekucb`` runs never do.  The module-level name also lets a caller
+swap ``linalg.scipy`` for a view, as the benchmark tracer does to count
+``cho_factor`` attempts; a function-level ``import scipy.linalg`` would bypass
+such a view silently.
+
+The numpy and scipy wheels each bundle their own OpenBLAS, each with its own
+thread pool.  On a machine with few cores the two pools' spinning workers
+compete with the main thread, and a ``cho_solve`` interleaved with numpy BLAS
+calls can run several times slower than alone.  So ``_lapack()`` pins scipy's
+pool to one thread the first time it is called.  The pin is process-wide:
+OpenBLAS's per-thread setting leaks to other threads, so a pin-and-restore
+around each call would race across the threads of a sweep; pinning before the
+first factorization also keeps a sweep's dense inverses independent of which
+thread factors first.  numpy's pool is left alone: every per-round update and
+score runs there, and pinning it changes their rounding.  Where scipy's
+OpenBLAS does not export the setter, threading is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +62,23 @@ class FactorizationError(LinalgError):
 # Denominators and Schur complements below this magnitude are treated as
 # singular rather than divided through.
 SINGULAR_TOL = 1e-12
+
+_scipy_pinned = False
+
+
+def _lapack():
+    """``scipy.linalg``, with scipy's OpenBLAS pinned to one thread on first use."""
+    global _scipy_pinned
+    la = scipy.linalg
+    if not _scipy_pinned:
+        # pin, then mark it done: a thread that sees the mark never factors
+        # with two threads, and a second pin from a racing thread is harmless
+        try:
+            ctypes.CDLL(la._flapack.__file__).scipy_openblas_set_num_threads(1)
+        except (AttributeError, OSError):
+            pass
+        _scipy_pinned = True
+    return la
 
 
 @dataclass
@@ -158,12 +190,13 @@ def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
     attempts = [work]
     if jitter > 0:
         attempts.append(work + jitter * np.eye(work.shape[0]))
+    la = _lapack()
     for candidate in attempts:
         try:
-            cf = scipy.linalg.cho_factor(candidate, lower=True)
+            cf = la.cho_factor(candidate, lower=True)
         except np.linalg.LinAlgError:
             continue
-        inv = scipy.linalg.cho_solve(cf, np.eye(candidate.shape[0]))
+        inv = la.cho_solve(cf, np.eye(candidate.shape[0]))
         return SpdInverse(_symmetrize(inv))
     raise FactorizationError("matrix not positive definite after jitter")
 
@@ -176,19 +209,20 @@ def in_order_inverse(m: np.ndarray) -> tuple[np.ndarray, SpdInverse]:
     the rule ``schur_extend`` applies one row at a time.  With nothing dropped
     this is one LAPACK call; a dropped row restarts it on the rows after it.
     """
+    la = _lapack()
     kept, rest, lower = np.zeros(0, dtype=int), np.arange(m.shape[0]), np.zeros((0, 0))
     while rest.size:
         # the rows left, eliminated against the rows kept so far
-        panel = scipy.linalg.solve_triangular(lower, m[np.ix_(kept, rest)], lower=True).T
+        panel = la.solve_triangular(lower, m[np.ix_(kept, rest)], lower=True).T
         schur = m[np.ix_(rest, rest)] - panel @ panel.T
-        c, info = scipy.linalg.lapack.dpotrf(schur, lower=1, clean=1)
+        c, info = la.lapack.dpotrf(schur, lower=1, clean=1)
         # LAPACK stops at the first pivot that is not positive
         pivots = np.diag(c)[: info - 1 if info > 0 else rest.size] ** 2
         small = np.flatnonzero(pivots < SINGULAR_TOL)
         stop = int(small[0]) if small.size else pivots.size
         lower = np.block([[lower, np.zeros((kept.size, stop))], [panel[:stop], c[:stop, :stop]]])
         kept, rest = np.append(kept, rest[:stop]), rest[stop + 1 :]
-    inv = scipy.linalg.cho_solve((lower, True), np.eye(kept.size))
+    inv = la.cho_solve((lower, True), np.eye(kept.size))
     return kept, SpdInverse(_symmetrize(inv))
 
 

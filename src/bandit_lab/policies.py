@@ -252,6 +252,8 @@ class ProjectedKernelUcb:
         self.refactor_every = refactor_every
         # dense rebuilds by the reason that triggered them
         self.rebuilds = {"singular_update": 0, "indefinite_admission": 0, "periodic": 0}
+        # duplicates rejected by dictionaries that a resample has replaced
+        self._replaced_duplicates = 0
         self._context_dim: int | None = None
         self._jitter = 1e-10 * kernel.kappa**2
 
@@ -262,6 +264,11 @@ class ProjectedKernelUcb:
     @property
     def dictionary_size(self) -> int:
         return self.dictionary.size
+
+    @property
+    def rejected_duplicates(self) -> int:
+        """Near-duplicate states rejected over the run, by every dictionary it used."""
+        return self._replaced_duplicates + self.dictionary.rejected_duplicates
 
     @property
     def rewards(self) -> np.ndarray:
@@ -477,6 +484,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             probs[forced] = 1.0
             keep[forced] = True
         idx = np.flatnonzero(keep)
+        self._replaced_duplicates += d.rejected_duplicates
         self.dictionary = rebuild_dictionary(
             [self.points[i] for i in idx],
             probs[idx],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bandit_lab.config import build_run_config, variant_config
-from bandit_lab.dictionary import KorsParams
+from bandit_lab.dictionary import KorsParams, rebuild_dictionary
 from bandit_lab.harness import (
     NONDETERMINISTIC_COLUMNS,
     TRACE_COLUMNS,
@@ -124,12 +124,27 @@ def test_collect_states():
     assert record.states[0].context.size == config.env.context_dim
 
 
-def test_run_single_counts_rebuilds_and_resamples():
+def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
     config = small_config(**{"policy.name": "ekucb", "policy.refactor_every": "10"})
     ekucb = run_single(config, 0)
     assert (ekucb.rebuilds, ekucb.resamples) == (2, 0)  # periodic at t = 10, 20
     cbkb = run_single(small_config(**{"policy.name": "cbkb"}), 0)
     assert (cbkb.rebuilds, cbkb.resamples) == (0, cbkb.rounds - 1)
+    # a linear kernel has rank at most the joint dimension, so each resample
+    # drops most of the states it offers as duplicates; the run counts the
+    # drops of every dictionary, not only of the last one
+    dropped = []
+
+    def counted(*args, **kwargs):
+        d = rebuild_dictionary(*args, **kwargs)
+        dropped.append(d.rejected_duplicates)
+        return d
+
+    monkeypatch.setattr("bandit_lab.policies.rebuild_dictionary", counted)
+    config = small_config(**{"policy.name": "cbkb", "kernel.family": "linear"})
+    cbkb = run_single(config, 0)
+    assert cbkb.error is None and len(dropped) == cbkb.resamples == cbkb.rounds - 1
+    assert cbkb.rejected_duplicates == sum(dropped) > max(dropped)
 
 
 def test_run_single_marks_failures():
@@ -249,6 +264,8 @@ def test_emit_outputs(tmp_path):
         assert float(row["mean_total_regret"]) >= 0.0
         assert float(row["mean_total_wall_s"]) > 0.0
         assert (row["rebuilds"], row["resamples"]) == ("0", "0")
+    assert list(rows[0])[-3:] == ["rebuilds", "resamples", "rejected_duplicates"]
+    assert rows[0]["rejected_duplicates"] == "0"
     assert float(rows[1]["mean_final_dictionary_size"]) > 0
     with open(tmp_path / "dictionary_sparse_0.csv") as fh:
         dict_rows = list(csv.DictReader(fh))

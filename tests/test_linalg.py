@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -228,3 +229,40 @@ def test_scipy_linalg_loads_on_first_factorization():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[False, False, True]"
+
+
+# -- threads: scipy's bundled OpenBLAS is pinned to one thread on the first
+# factorization, numpy's is left alone
+
+PIN_PROBE = """
+import ctypes
+import json
+import numpy as np
+import scipy.linalg
+from bandit_lab.linalg import dense_spd_inverse
+try:
+    scipy_get = ctypes.CDLL(scipy.linalg._flapack.__file__).scipy_openblas_get_num_threads
+    numpy_get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+except (AttributeError, OSError):
+    print("absent")
+    raise SystemExit
+before = (scipy_get(), numpy_get())
+dense_spd_inverse(2 * np.eye(3))
+print(json.dumps([before, (scipy_get(), numpy_get())]))
+"""
+
+
+def test_first_factorization_pins_scipy_blas_to_one_thread():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # the pools' default sizes, not whatever the caller asked for
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+        env.pop(name, None)
+    done = subprocess.run(
+        [sys.executable, "-c", PIN_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "absent":
+        pytest.skip("this scipy or numpy build does not bundle OpenBLAS")
+    before, after = json.loads(done.stdout)
+    assert after == [1, before[1]]
