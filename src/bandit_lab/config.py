@@ -10,7 +10,7 @@ always composes into one plain dictionary before being interpreted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .environments import EnvSpec
 from .kernels import KernelSpec
@@ -37,7 +37,6 @@ class RunConfig:
     output_dir: str = "out"
     label: str = ""
     dump_dictionary: bool = False
-    refactor_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
@@ -129,7 +128,6 @@ _KNOWN_KEYS = frozenset(
         "policy.norm_bound",
         "policy.delta",
         "policy.accumulation_threshold",
-        "policy.refactor_every",
         "run.T",
         "run.seeds",
         "run.output_dir",
@@ -183,7 +181,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     )
     if not seeds:
         raise ValueError("run.seeds must list at least one seed")
-    refactor = _as_int(kv, "policy.refactor_every", 0)
     return RunConfig(
         env=env,
         kernel=kernel,
@@ -199,7 +196,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         output_dir=kv.get("run.output_dir", "out"),
         label=kv.get("run.label", ""),
         dump_dictionary=_as_bool(kv, "run.dump_dictionary", False),
-        refactor_every=refactor if refactor > 0 else None,
     )
 
 
@@ -234,8 +230,3 @@ def expand_variants(
         merged.update(overrides)
         configs.append(build_run_config(merged))
     return configs
-
-
-def variant_config(config: RunConfig, **changes) -> RunConfig:
-    """Dataclass replace with the same validation."""
-    return replace(config, **changes)

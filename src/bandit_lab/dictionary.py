@@ -19,6 +19,9 @@ which is the augmented-dictionary form (s appended at weight 1) reduced by one
 block elimination; tests check the two agree.  The matrix
 (S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, so a
 score costs O(m^2) after O(m) kernel evaluations.
+
+Anchors are stored only as packed joint rows, the form ``gram_packed``
+consumes; a ``StatePoint`` is read where a caller hands one in.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, StatePoint, evaluate, gram, gram_packed, pack
+from .kernels import KernelSpec, StatePoint, evaluate, gram_packed, pack
 from .linalg import (
     NearSingularExtensionError,
     SpdInverse,
@@ -72,8 +75,9 @@ class KorsParams:
 
 @dataclass
 class Dictionary:
-    """Anchor set with maintained inverse state.
+    """Anchor set, stored as packed joint rows, with maintained inverse state.
 
+    ``packed`` holds one (context, action) row per anchor, in admission order.
     ``kzz_inverse`` inverts the plain anchor gram K_ZZ (used by the projected
     variance correction); ``score_inverse`` inverts S K_ZZ S + mu I (used by
     the leverage estimator).  Both are extended one row at a time as anchors
@@ -83,7 +87,7 @@ class Dictionary:
 
     mu: float
     rng: np.random.Generator
-    anchors: list[StatePoint] = field(default_factory=list)
+    packed: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     probs: list[float] = field(default_factory=list)
     steps: list[int] = field(default_factory=list)
     kzz_inverse: SpdInverse = field(default_factory=SpdInverse.empty)
@@ -94,35 +98,28 @@ class Dictionary:
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if not (
-            len(self.anchors)
+            self.packed.shape[0]
             == len(self.probs)
             == len(self.steps)
             == self.kzz_inverse.dim
             == self.score_inverse.dim
         ):
             raise ValueError("dictionary fields disagree on the anchor count")
-        self._packed = pack(self.anchors)
 
     @property
     def size(self) -> int:
-        return len(self.anchors)
+        return len(self.probs)
 
-    @property
-    def packed(self) -> np.ndarray:
-        """(m, d) joint coordinates of the anchors."""
-        return self._packed
-
-    def cross_vector(self, spec: KernelSpec, s: StatePoint) -> np.ndarray:
-        """K_Z(s): kernel of s against every anchor."""
-        return gram_packed(
-            spec, self._packed, s.joint[None, :], context_dim=s.context.size
-        )[:, 0]
+    def cross_vector(
+        self, spec: KernelSpec, row: np.ndarray, context_dim: int
+    ) -> np.ndarray:
+        """K_Z(s) for the joint row of s: its kernel against every anchor."""
+        return gram_packed(spec, self.packed, row[None, :], context_dim=context_dim)[:, 0]
 
     def _admit(
-        self, spec: KernelSpec, s: StatePoint, prob: float, step: int, kz: np.ndarray
+        self, row: np.ndarray, k_self: float, prob: float, step: int, kz: np.ndarray
     ) -> bool:
         """Extend both inverses by one anchor; reject near-duplicates."""
-        k_self = evaluate(spec, s, s)
         try:
             new_kzz = schur_extend(self.kzz_inverse, kz, k_self)
         except NearSingularExtensionError:
@@ -136,40 +133,41 @@ class Dictionary:
             k_self * scale**2 + self.mu,
         )
         self.kzz_inverse = new_kzz
-        self.anchors.append(s)
+        self.packed = np.vstack([self.packed.reshape(-1, row.size), row])
         self.probs.append(prob)
         self.steps.append(step)
-        self._packed = np.vstack([self._packed.reshape(-1, s.joint.size), s.joint])
         return True
 
     def seed(self, spec: KernelSpec, s: StatePoint, step: int = 0) -> None:
         """Deterministically admit the bootstrap state at weight 1."""
-        kz = self.cross_vector(spec, s)
-        if not self._admit(spec, s, 1.0, step, kz):
+        row = s.joint
+        kz = self.cross_vector(spec, row, s.context.size)
+        if not self._admit(row, evaluate(spec, s, s), 1.0, step, kz):
             raise ValueError("bootstrap state rejected as duplicate")
 
 
 def _score_parts(
     d: Dictionary, s: StatePoint, params: KorsParams, spec: KernelSpec
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """(tau, the joint row of s, K_Z(s), k(s, s))."""
     if params.mu != d.mu:
         raise ValueError("params.mu differs from the dictionary's mu")
     k_self = evaluate(spec, s, s)
-    kz = d.cross_vector(spec, s)
+    row = s.joint
+    kz = d.cross_vector(spec, row, s.context.size)
     v = kz / np.sqrt(np.asarray(d.probs))
     r = float(v @ (d.score_inverse.matrix @ v))
     gap = max(k_self - r, 0.0)
     denom = max(k_self + params.mu - r, params.mu)
     tau = (1.0 + params.epsilon) * gap / denom
-    return tau, kz
+    return tau, row, kz, k_self
 
 
 def leverage_score(
     d: Dictionary, s: StatePoint, params: KorsParams, spec: KernelSpec
 ) -> float:
     """Estimated ridge leverage score of ``s`` against the current anchors."""
-    tau, _ = _score_parts(d, s, params, spec)
-    return tau
+    return _score_parts(d, s, params, spec)[0]
 
 
 def kors_step(
@@ -181,7 +179,7 @@ def kors_step(
     consumed per call regardless of outcome, so the coin-flip stream stays
     aligned across configurations that share a seed.
     """
-    tau, kz = _score_parts(d, s, params, spec)
+    tau, row, kz, k_self = _score_parts(d, s, params, spec)
     if math.isinf(params.gamma):
         prob = 1.0
     else:
@@ -189,7 +187,7 @@ def kors_step(
     coin = float(d.rng.uniform())
     if prob <= 0.0 or coin >= prob:
         return False
-    return d._admit(spec, s, prob, t, kz)
+    return d._admit(row, k_self, prob, t, kz)
 
 
 def projection_error(
@@ -204,38 +202,43 @@ def projection_error(
     """
     if len(history) == 0:
         return 0.0
-    k_sz = gram(spec, history, d.anchors)
-    k_zz = gram(spec, d.anchors, d.anchors)
+    rows = pack(history)
+    ctx_dim = history[0].context.size
+    k_sz = gram_packed(spec, rows, d.packed, context_dim=ctx_dim)
+    k_zz = gram_packed(spec, d.packed, d.packed, context_dim=ctx_dim)
+    k_ss = gram_packed(spec, rows, rows, context_dim=ctx_dim)
     inv = dense_spd_inverse(k_zz, jitter=1e-10 * spec.kappa**2)
-    resid = gram(spec, history, history) - k_sz @ (inv.matrix @ k_sz.T)
+    resid = k_ss - k_sz @ (inv.matrix @ k_sz.T)
     eigs = np.linalg.eigvalsh(0.5 * (resid + resid.T))
     return float(eigs[-1])
 
 
 def rebuild_dictionary(
-    states: list[StatePoint],
+    states: np.ndarray,
     probs: np.ndarray,
     steps: list[int],
     mu: float,
     spec: KernelSpec,
     rng: np.random.Generator,
+    context_dim: int | None = None,
 ) -> Dictionary:
     """Construct a dictionary from scratch out of one gram and one factorization.
 
-    Used by the resampling baseline, which periodically throws its anchor set
-    away.  ``in_order_inverse`` drops a state whose pivot squared, its Schur
-    complement against the states kept before it, is below ``SINGULAR_TOL``,
-    the rule online admission applies, and counts it in ``rejected_duplicates``.
+    ``states`` are packed joint rows; ``context_dim`` splits them for tensor
+    kernels, as in ``gram_packed``.  Used by the resampling baseline, which
+    periodically throws its anchor set away.  ``in_order_inverse`` drops a
+    state whose pivot squared, its Schur complement against the states kept
+    before it, is below ``SINGULAR_TOL``, the rule online admission applies,
+    and counts it in ``rejected_duplicates``.
     """
-    packed = pack(states)
-    k = gram_packed(spec, packed, packed, context_dim=states[0].context.size)
+    k = gram_packed(spec, states, states, context_dim=context_dim)
     kept, kzz_inverse = in_order_inverse(k)
     weights = 1.0 / np.sqrt(probs[kept])
     scaled = k[np.ix_(kept, kept)] * np.outer(weights, weights)
     return Dictionary(
         mu=mu,
         rng=rng,
-        anchors=[states[i] for i in kept],
+        packed=states[kept],
         probs=[float(probs[i]) for i in kept],
         steps=[steps[i] for i in kept],
         kzz_inverse=kzz_inverse,

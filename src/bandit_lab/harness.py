@@ -72,7 +72,6 @@ def build_policy(config: RunConfig, seed: int):
             config.schedule,
             policy_rng,
             kors_rng,
-            refactor_every=config.refactor_every,
         )
     # cbkb is the resampling baseline pinned to an every-round threshold
     threshold = 1.0 if config.policy == "cbkb" else config.accumulation_threshold

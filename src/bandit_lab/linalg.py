@@ -9,7 +9,7 @@ the inverse of a growing SPD matrix directly, via two primitives:
 Both return a fresh ``SpdInverse`` and re-symmetrize the result, so roundoff
 asymmetry cannot compound over thousands of updates.  A dense
 factorization-based inverse is also provided; it serves as the ground truth in
-tests and as the rebuild path for policies that refactor periodically; an
+tests and as the rebuild path for policies that refactor after drift; an
 in-order variant applies the one-row extension's singularity rule at once.
 
 ``scipy`` is imported bare and every call goes through ``_lapack()``, which

@@ -24,6 +24,11 @@ and coincides with the exact posterior whenever Z spans the history.  Both
 projected policies rebuild Lam and Gam densely through one method, which
 ``refactor`` and every resample call; a resample's anchors and their inverses
 come from one in-order Cholesky factorization in ``rebuild_dictionary``.
+
+States are stored only as packed joint rows: the history S is one
+(context, action) row per round beside the rewards, and the dictionary keeps
+its anchors Z the same way.  The ``StatePoint`` handed to ``update`` is read
+there and not kept.
 """
 
 from __future__ import annotations
@@ -138,8 +143,12 @@ def _query_block(context: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.hstack([ctx, actions])
 
 
-class ExactKernelUcb:
-    """Kernel UCB on the full history."""
+class _KernelPolicy:
+    """History shared by the kernel policies: packed joint rows and rewards.
+
+    Each observed state is stored once, as one (context, action) row of
+    ``history``; the ``StatePoint`` handed to ``update`` is not kept.
+    """
 
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
         if lam <= 0:
@@ -147,20 +156,14 @@ class ExactKernelUcb:
         self.kernel = kernel
         self.lam = lam
         self.schedule = schedule
-        self.points: list[StatePoint] = []
         self._history: GrowableMatrix | None = None
         self._rewards = GrowableVector()
-        self.k_lambda_inverse = SpdInverse.empty()
         self._context_dim: int | None = None
         self._jitter = 1e-10 * kernel.kappa**2
 
     @property
     def t(self) -> int:
-        return len(self.points)
-
-    @property
-    def dictionary_size(self) -> int:
-        return 0
+        return self._rewards.size
 
     @property
     def rewards(self) -> np.ndarray:
@@ -171,6 +174,34 @@ class ExactKernelUcb:
         if self._history is None:
             return np.zeros((0, 0))
         return self._history.view
+
+    def score_one(self, s: StatePoint) -> tuple[float, float]:
+        means, var = self.scores(s.context, s.action[None, :])
+        return float(means[0]), float(var[0])
+
+    def _row(self, s: StatePoint) -> np.ndarray:
+        """The joint row of s; the first call sizes the history buffer."""
+        row = s.joint
+        if self._history is None:
+            self._context_dim = s.context.size
+            self._history = GrowableMatrix(row.size)
+        return row
+
+    def _store(self, row: np.ndarray, reward: float) -> None:
+        self._history.append_row(row)
+        self._rewards.append(reward)
+
+
+class ExactKernelUcb(_KernelPolicy):
+    """Kernel UCB on the full history."""
+
+    def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
+        super().__init__(kernel, lam, schedule)
+        self.k_lambda_inverse = SpdInverse.empty()
+
+    @property
+    def dictionary_size(self) -> int:
+        return 0
 
     def scores(
         self, context: np.ndarray, actions: np.ndarray
@@ -188,10 +219,6 @@ class ExactKernelUcb:
         var = (kdiag - quad) / self.lam
         return means, _guard_variances(var)
 
-    def score_one(self, s: StatePoint) -> tuple[float, float]:
-        means, var = self.scores(s.context, s.action[None, :])
-        return float(means[0]), float(var[0])
-
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
         means, var = self.scores(context, actions)
         beta = self.schedule.value(
@@ -200,23 +227,18 @@ class ExactKernelUcb:
         return int(np.argmax(means + beta * np.sqrt(var)))
 
     def update(self, s: StatePoint, reward: float) -> None:
-        joint = s.joint
-        if self._context_dim is None:
-            self._context_dim = s.context.size
-            self._history = GrowableMatrix(joint.size)
+        row = self._row(s)
         kz = gram_packed(
-            self.kernel, self.history, joint[None, :], context_dim=self._context_dim
+            self.kernel, self.history, row[None, :], context_dim=self._context_dim
         )[:, 0]
         c = evaluate(self.kernel, s, s) + self.lam
         self.k_lambda_inverse = schur_extend_jittered(
             self.k_lambda_inverse, kz, c, self._jitter
         )
-        self._history.append_row(joint)
-        self._rewards.append(reward)
-        self.points.append(s)
+        self._store(row, reward)
 
 
-class ProjectedKernelUcb:
+class ProjectedKernelUcb(_KernelPolicy):
     """Kernel UCB projected on a leverage-score-sampled Nystrom dictionary.
 
     The first round is a bootstrap: an action is drawn uniformly and the
@@ -233,33 +255,18 @@ class ProjectedKernelUcb:
         schedule: ExplorationSchedule,
         policy_rng: np.random.Generator,
         kors_rng: np.random.Generator,
-        refactor_every: int | None = None,
     ):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        self.kernel = kernel
-        self.lam = lam
+        super().__init__(kernel, lam, schedule)
         self.kors = kors
-        self.schedule = schedule
         self.rng = policy_rng
         self.dictionary = Dictionary(mu=kors.mu, rng=kors_rng)
-        self.points: list[StatePoint] = []
-        self._history: GrowableMatrix | None = None
-        self._rewards = GrowableVector()
         self._cross: GrowableMatrix | None = None  # rows are states: K_SZ
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
-        self.refactor_every = refactor_every
         # dense rebuilds by the reason that triggered them
-        self.rebuilds = {"singular_update": 0, "indefinite_admission": 0, "periodic": 0}
+        self.rebuilds = {"singular_update": 0, "indefinite_admission": 0}
         # duplicates rejected by dictionaries that a resample has replaced
         self._replaced_duplicates = 0
-        self._context_dim: int | None = None
-        self._jitter = 1e-10 * kernel.kappa**2
-
-    @property
-    def t(self) -> int:
-        return len(self.points)
 
     @property
     def dictionary_size(self) -> int:
@@ -269,16 +276,6 @@ class ProjectedKernelUcb:
     def rejected_duplicates(self) -> int:
         """Near-duplicate states rejected over the run, by every dictionary it used."""
         return self._replaced_duplicates + self.dictionary.rejected_duplicates
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return self._rewards.view
-
-    @property
-    def history(self) -> np.ndarray:
-        if self._history is None:
-            return np.zeros((0, 0))
-        return self._history.view
 
     @property
     def cross(self) -> np.ndarray:
@@ -304,10 +301,6 @@ class ProjectedKernelUcb:
         quad = np.einsum("ij,ij->j", kzq, correction @ kzq)
         return means, _guard_variances(kdiag / self.lam + quad)
 
-    def score_one(self, s: StatePoint) -> tuple[float, float]:
-        means, var = self.scores(s.context, s.action[None, :])
-        return float(means[0]), float(var[0])
-
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
         if self.t == 0:
@@ -324,12 +317,7 @@ class ProjectedKernelUcb:
         return int(np.argmax(means + beta * np.sqrt(var)))
 
     def _bootstrap(self, s: StatePoint, reward: float) -> None:
-        self._context_dim = s.context.size
-        joint = s.joint
-        self._history = GrowableMatrix(joint.size)
-        self._history.append_row(joint)
-        self._rewards.append(reward)
-        self.points.append(s)
+        self._store(self._row(s), reward)
         self.dictionary.seed(self.kernel, s, step=0)
         k00 = evaluate(self.kernel, s, s)
         self._cross = GrowableMatrix(1)
@@ -339,13 +327,14 @@ class ProjectedKernelUcb:
         )
         self.gamma_vec = np.array([k00 * reward])
 
-    def _append_state(self, s: StatePoint, reward: float) -> np.ndarray:
-        """No-add branch shared with the resampling baseline; returns K_Z(s)."""
-        kz = self.dictionary.cross_vector(self.kernel, s)
+    def _append_state(
+        self, s: StatePoint, reward: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """No-add branch shared with the resampling baseline; returns (row, K_Z(s))."""
+        row = self._row(s)
+        kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
         self._cross.append_row(kz)
-        self._history.append_row(s.joint)
-        self._rewards.append(reward)
-        self.points.append(s)
+        self._store(row, reward)
         try:
             self.lambda_inverse = sherman_morrison_update(
                 self.lambda_inverse, kz, kz
@@ -354,9 +343,9 @@ class ProjectedKernelUcb:
         except LinalgError:
             self.rebuilds["singular_update"] += 1
             self.refactor()
-        return kz
+        return row, kz
 
-    def _admit_anchor(self, s: StatePoint, kz: np.ndarray) -> None:
+    def _admit_anchor(self, s: StatePoint, row: np.ndarray, kz: np.ndarray) -> None:
         """Extend Lam, Gam and the cross block after the sampler admits s.
 
         Near dictionary saturation the drifted Lam estimate can make the
@@ -365,7 +354,7 @@ class ProjectedKernelUcb:
         rebuild instead of failing the run.
         """
         ks_z = gram_packed(
-            self.kernel, self.history, s.joint[None, :], context_dim=self._context_dim
+            self.kernel, self.history, row[None, :], context_dim=self._context_dim
         )[:, 0]
         b = self._cross.view.T @ ks_z + self.lam * kz
         c = float(ks_z @ ks_z) + self.lam * evaluate(self.kernel, s, s)
@@ -383,14 +372,11 @@ class ProjectedKernelUcb:
         if self.t == 0:
             self._bootstrap(s, reward)
             return
-        kz = self._append_state(s, reward)
+        row, kz = self._append_state(s, reward)
         before = self.dictionary.size
         if kors_step(self.dictionary, self.t - 1, s, self.kors, self.kernel):
             assert self.dictionary.size == before + 1
-            self._admit_anchor(s, kz)
-        if self.refactor_every is not None and self.t % self.refactor_every == 0:
-            self.rebuilds["periodic"] += 1
-            self.refactor()
+            self._admit_anchor(s, row, kz)
 
     def refactor(self) -> None:
         """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path."""
@@ -420,7 +406,7 @@ class ProjectedKernelUcb:
         """(anchor index, admission step, inclusion prob, joint coords...)."""
         d = self.dictionary
         return [
-            (i, d.steps[i], d.probs[i], *d.anchors[i].joint.tolist())
+            (i, d.steps[i], d.probs[i], *d.packed[i].tolist())
             for i in range(d.size)
         ]
 
@@ -486,12 +472,13 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         idx = np.flatnonzero(keep)
         self._replaced_duplicates += d.rejected_duplicates
         self.dictionary = rebuild_dictionary(
-            [self.points[i] for i in idx],
+            self.history[idx],
             probs[idx],
             [self.t - 1] * idx.size,
             self.kors.mu,
             self.kernel,
             d.rng,
+            context_dim=self._context_dim,
         )
         kzs = gram_packed(
             self.kernel,

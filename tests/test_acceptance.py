@@ -29,7 +29,7 @@ from bandit_lab.dictionary import (
 )
 from bandit_lab.environments import Environment, EnvSpec
 from bandit_lab.harness import run_single, run_sweep
-from bandit_lab.kernels import KernelSpec, StatePoint, gram
+from bandit_lab.kernels import KernelSpec, StatePoint, gram, gram_packed
 from bandit_lab.linalg import log_det_ratio
 from bandit_lab.policies import (
     ExactKernelUcb,
@@ -110,7 +110,7 @@ def test_acceptance_2_incremental_vs_dense():
         idx = exact.choose(x, actions)
         outcome = env.step(x, actions[idx])
         exact.update(StatePoint(x, actions[idx]), outcome.reward)
-        k = gram(GAUSS, exact.points, exact.points)
+        k = gram_packed(GAUSS, exact.history, exact.history)
         dense = np.linalg.inv(k + lam * np.eye(exact.t))
         worst_exact = max(
             worst_exact, float(np.linalg.norm(exact.k_lambda_inverse.matrix - dense))
@@ -131,9 +131,9 @@ def test_acceptance_2_incremental_vs_dense():
         idx = proj.choose(x, actions) if t else 0
         outcome = env.step(x, actions[idx])
         proj.update(StatePoint(x, actions[idx]), outcome.reward)
-        anchors = proj.dictionary.anchors
-        kzz = gram(GAUSS, anchors, anchors)
-        kzs = gram(GAUSS, anchors, proj.points)
+        anchors = proj.dictionary.packed
+        kzz = gram_packed(GAUSS, anchors, anchors)
+        kzs = gram_packed(GAUSS, anchors, proj.history)
         worst_lam = max(
             worst_lam,
             float(

@@ -1,14 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from bandit_lab.config import (
-    RunConfig,
     apply_overrides,
     build_run_config,
     expand_variants,
     parse_config_text,
-    variant_config,
 )
 
 SAMPLE = """
@@ -55,7 +54,6 @@ def test_build_run_config_defaults():
     assert config.seeds == (0,)
     assert config.gamma is None
     assert config.label == "kucb"  # defaults to the policy name
-    assert config.refactor_every is None
 
 
 def test_build_run_config_full():
@@ -87,8 +85,9 @@ def test_bool_and_refactor_parsing():
     assert not build_run_config({"run.dump_dictionary": "off"}).dump_dictionary
     with pytest.raises(ValueError):
         build_run_config({"run.dump_dictionary": "maybe"})
-    assert build_run_config({"policy.refactor_every": "5"}).refactor_every == 5
-    assert build_run_config({"policy.refactor_every": "0"}).refactor_every is None
+    # refactoring is drift recovery only; no key schedules it
+    with pytest.raises(ValueError):
+        build_run_config({"policy.refactor_every": "5"})
 
 
 def test_linear_kernel_kappa_resolves_from_dimensions():
@@ -127,13 +126,13 @@ def test_seed_list_validation():
 def test_run_config_validation():
     good = build_run_config({})
     with pytest.raises(ValueError):
-        variant_config(good, policy="greedy")
+        replace(good, policy="greedy")
     with pytest.raises(ValueError):
-        variant_config(good, horizon=0)
+        replace(good, horizon=0)
     with pytest.raises(ValueError):
-        variant_config(good, lam=0.0)
+        replace(good, lam=0.0)
     with pytest.raises(ValueError):
-        variant_config(good, mu=-1.0)
+        replace(good, mu=-1.0)
 
 
 def test_apply_overrides():
@@ -155,12 +154,3 @@ def test_expand_variants():
     assert configs[1].mu == 100.0
     solo = expand_variants(base, {})
     assert len(solo) == 1 and solo[0].policy == "ekucb"
-
-
-def test_variant_config_is_plain_replace():
-    base = build_run_config({})
-    changed = variant_config(base, horizon=7, label="probe")
-    assert changed.horizon == 7
-    assert changed.label == "probe"
-    assert base.horizon == 100
-    assert isinstance(changed, RunConfig)

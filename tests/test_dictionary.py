@@ -11,7 +11,7 @@ from bandit_lab.dictionary import (
     projection_error,
     rebuild_dictionary,
 )
-from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram
+from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram, gram_packed, pack
 from bandit_lab.linalg import dense_spd_inverse
 
 GAUSS = KernelSpec("gaussian", bandwidth=0.4)
@@ -24,10 +24,10 @@ def random_state(rng, ctx_dim=2):
 def dense_score_oracle(d, s, params, spec):
     """Augmented-dictionary estimator computed the slow, literal way:
     append s at weight one, scale by inclusion probabilities, solve densely."""
-    zs = d.anchors + [s]
-    k = gram(spec, zs, zs)
+    zs = np.vstack([d.packed.reshape(-1, s.joint.size), s.joint])
+    k = gram_packed(spec, zs, zs)
     scale = np.diag(1.0 / np.sqrt(np.array(list(d.probs) + [1.0])))
-    v = scale @ gram(spec, zs, [s])[:, 0]
+    v = scale @ gram_packed(spec, zs, s.joint[None, :])[:, 0]
     inner = scale @ k @ scale + params.mu * np.eye(len(zs))
     q = float(v @ np.linalg.solve(inner, v))
     return (1.0 + params.epsilon) / params.mu * (evaluate(spec, s, s) - q)
@@ -128,15 +128,16 @@ def test_anchors_grow_monotonically():
     for t in range(50):
         kors_step(d, t, random_state(rng), params, GAUSS)
         assert d.size >= len(seen)
-        assert d.anchors[: len(seen)] == seen  # prefix preserved, never reordered
-        seen = list(d.anchors)
+        # prefix preserved, never reordered
+        assert d.packed[: len(seen)].tolist() == seen
+        seen = d.packed.tolist()
 
 
 def test_leverage_score_invariant_to_anchor_order():
     d, _, params = grown_dictionary(16, 25, gamma=5.0)
     order = np.random.default_rng(17).permutation(d.size)
     shuffled = rebuild_dictionary(
-        [d.anchors[i] for i in order],
+        d.packed[order],
         np.array(d.probs)[order],
         [d.steps[i] for i in order],
         d.mu,
@@ -164,15 +165,16 @@ def test_rebuild_rejects_duplicates_like_online_admission():
     for t, s in enumerate(states):
         kors_step(online, t, s, params, GAUSS)
     probs = np.linspace(0.3, 1.0, len(states))
+    steps = list(range(len(states)))
     d = rebuild_dictionary(
-        states, probs, list(range(len(states))), 1.0, GAUSS, np.random.default_rng(28)
+        pack(states), probs, steps, 1.0, GAUSS, np.random.default_rng(28)
     )
     assert online.rejected_duplicates == 2
     assert d.rejected_duplicates == 2
-    assert d.anchors == online.anchors
+    assert np.array_equal(d.packed, online.packed)
     assert d.steps == online.steps == [0, 1, 2, 3, 4, 5, 7] + list(range(9, 14))
     assert d.probs == [probs[i] for i in d.steps]
-    kzz = gram(GAUSS, d.anchors, d.anchors)
+    kzz = gram_packed(GAUSS, d.packed, d.packed)
     weights = 1.0 / np.sqrt(np.array(d.probs))
     scaled = kzz * np.outer(weights, weights) + d.mu * np.eye(d.size)
     for mine, want in (
@@ -254,7 +256,7 @@ def test_params_validation():
 
 def test_maintained_inverses_match_dense():
     d, _, params = grown_dictionary(25, 40, gamma=4.0)
-    kzz = gram(GAUSS, d.anchors, d.anchors)
+    kzz = gram_packed(GAUSS, d.packed, d.packed)
     assert np.linalg.norm(d.kzz_inverse.matrix @ kzz - np.eye(d.size)) < 1e-7
     weights = np.diag(1.0 / np.sqrt(np.array(d.probs)))
     scaled = weights @ kzz @ weights + d.mu * np.eye(d.size)

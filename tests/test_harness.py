@@ -1,11 +1,12 @@
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bandit_lab.config import build_run_config, variant_config
+from bandit_lab.config import build_run_config
 from bandit_lab.dictionary import KorsParams, rebuild_dictionary
 from bandit_lab.harness import (
     NONDETERMINISTIC_COLUMNS,
@@ -20,6 +21,7 @@ from bandit_lab.harness import (
     write_diagnostics,
     write_trace,
 )
+from bandit_lab.linalg import SingularUpdateError, sherman_morrison_update
 from bandit_lab.policies import (
     ExactKernelUcb,
     ProjectedKernelUcb,
@@ -70,7 +72,7 @@ def test_build_policy_dispatch():
 
 def test_resolve_gamma():
     assert resolve_gamma(small_config()) == 10.0
-    unset = variant_config(small_config(), gamma=None)
+    unset = replace(small_config(), gamma=None)
     assert resolve_gamma(unset) == KorsParams.theory_default(
         unset.horizon, unset.mu
     ).gamma
@@ -125,9 +127,20 @@ def test_collect_states():
 
 
 def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
-    config = small_config(**{"policy.name": "ekucb", "policy.refactor_every": "10"})
-    ekucb = run_single(config, 0)
-    assert (ekucb.rebuilds, ekucb.resamples) == (2, 0)  # periodic at t = 10, 20
+    # one singular rank-one update, at the tenth round, forces one rebuild
+    calls = []
+
+    def singular_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 9:
+            raise SingularUpdateError("forced")
+        return sherman_morrison_update(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("bandit_lab.policies.sherman_morrison_update", singular_once)
+        ekucb = run_single(small_config(**{"policy.name": "ekucb"}), 0)
+    assert ekucb.error is None and len(calls) == ekucb.rounds - 1
+    assert (ekucb.rebuilds, ekucb.resamples) == (1, 0)
     cbkb = run_single(small_config(**{"policy.name": "cbkb"}), 0)
     assert (cbkb.rebuilds, cbkb.resamples) == (0, cbkb.rounds - 1)
     # a linear kernel has rank at most the joint dimension, so each resample
@@ -149,7 +162,7 @@ def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
 
 def test_run_single_marks_failures():
     # an accumulation threshold below 1 is rejected at construction time
-    config = variant_config(
+    config = replace(
         small_config(**{"policy.name": "cbbkb"}), accumulation_threshold=0.2
     )
     with pytest.raises(ValueError):

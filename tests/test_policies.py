@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandit_lab.dictionary import KorsParams
-from bandit_lab.kernels import KernelSpec, StatePoint, gram
+from bandit_lab.kernels import KernelSpec, StatePoint, gram, gram_packed
 from bandit_lab.linalg import SpdInverse
 from bandit_lab.policies import (
     ExactKernelUcb,
@@ -158,11 +158,11 @@ def test_projected_with_saturated_dictionary_equals_exact():
     assert np.allclose(pv, ev, atol=1e-9)
 
 
-def dense_projected_oracle(policy):
+def dense_projected_oracle(policy, context_dim=None):
     """Recompute every maintained object of a projected policy from scratch."""
-    anchors = policy.dictionary.anchors
-    kzz = gram(policy.kernel, anchors, anchors)
-    kzs = gram(policy.kernel, anchors, policy.points)
+    anchors = policy.dictionary.packed
+    kzz = gram_packed(policy.kernel, anchors, anchors, context_dim=context_dim)
+    kzs = gram_packed(policy.kernel, anchors, policy.history, context_dim=context_dim)
     lam_mat = np.linalg.inv(kzs @ kzs.T + policy.lam * kzz)
     return {
         "lambda_inverse": lam_mat,
@@ -209,16 +209,6 @@ def test_refactor_is_a_no_op_on_healthy_state():
         assert np.allclose(before[1], after[1], atol=1e-9)
 
 
-def test_periodic_refactor_runs():
-    rng = np.random.default_rng(5)
-    policy = make_projected(gamma=1.5, lam=10.0, mu=2.0, seed=12, refactor_every=10)
-    for _ in range(35):
-        policy.update(random_state(rng), rng.normal())
-    want = dense_projected_oracle(policy)
-    assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
-    assert policy.rebuilds["periodic"] == 3  # at t = 10, 20, 30
-
-
 def test_indefinite_admission_recovers_via_dense_rebuild():
     # a badly drifted Lam estimate makes the bordering step indefinite; the
     # update must rebuild instead of raising, leaving consistent state behind
@@ -241,7 +231,7 @@ def test_singular_rank_one_update_recovers_via_dense_rebuild():
     for _ in range(5):
         policy.update(random_state(rng), rng.normal())
     s = random_state(rng)
-    kz = policy.dictionary.cross_vector(policy.kernel, s)
+    kz = policy.dictionary.cross_vector(policy.kernel, s.joint, s.context.size)
     # scale a negated identity so 1 + kz^T Lam kz lands inside the singular
     # tolerance of the rank-one update
     policy.lambda_inverse = SpdInverse(
@@ -295,8 +285,68 @@ def test_resampling_state_consistent_after_resamples():
     assert rel_drift(policy.gamma_vec, want["gamma_vec"]) < 1e-6
     assert rel_drift(policy.cross, want["cross"]) < 1e-6
     # anchors are genuine past states
-    joints = {tuple(p.joint) for p in policy.points}
-    assert all(tuple(a.joint) in joints for a in policy.dictionary.anchors)
+    joints = {tuple(row) for row in policy.history}
+    assert all(tuple(row) in joints for row in policy.dictionary.packed)
+
+
+TENSOR = KernelSpec(
+    "tensor",
+    context_kernel=KernelSpec("gaussian", bandwidth=0.5),
+    action_kernel=KernelSpec("gaussian", bandwidth=0.3),
+)
+
+
+def dense_posterior(policy, context, actions):
+    """Posterior mean and variance rebuilt from the stored packed rows alone."""
+
+    def k(a, b):
+        return gram_packed(policy.kernel, a, b, context_dim=context.size)
+
+    q = np.column_stack([np.tile(context, (actions.shape[0], 1)), actions])
+    kqq = k(q, q).diagonal()
+    if isinstance(policy, ExactKernelUcb):
+        s, y = policy.history, policy.rewards
+        sol = np.linalg.solve(k(s, s) + policy.lam * np.eye(policy.t), k(s, q))
+        return sol.T @ y, (kqq - np.einsum("ij,ij->j", k(s, q), sol)) / policy.lam
+    want = dense_projected_oracle(policy, context.size)
+    kzq = k(policy.dictionary.packed, q)
+    correction = want["lambda_inverse"] - want["kzz_inverse"] / policy.lam
+    means = kzq.T @ (want["lambda_inverse"] @ want["gamma_vec"])
+    return means, kqq / policy.lam + np.einsum("ij,ij->j", kzq, correction @ kzq)
+
+
+@pytest.mark.parametrize("name", ["kucb", "ekucb", "cbkb", "cbbkb"])
+def test_tensor_kernel_scores_match_dense_posterior(name):
+    # a tensor kernel splits each stored row at the context dimension, which
+    # every kernel call on the history and the anchors must pass along
+    kors = KorsParams(mu=1.0, gamma=3.0)
+    rngs = (np.random.default_rng(30), np.random.default_rng(31))
+    policy = {
+        "kucb": lambda: ExactKernelUcb(TENSOR, 1.0, FIXED),
+        "ekucb": lambda: ProjectedKernelUcb(TENSOR, 1.0, kors, FIXED, *rngs),
+        "cbkb": lambda: ResamplingKernelUcb(
+            TENSOR, 1.0, kors, FIXED, *rngs, accumulation_threshold=1.0
+        ),
+        "cbbkb": lambda: ResamplingKernelUcb(
+            TENSOR, 1.0, kors, FIXED, *rngs, accumulation_threshold=3.0
+        ),
+    }[name]()
+    rng = np.random.default_rng(32)
+    actions = np.linspace(0, 1, 9)[:, None]
+    for _ in range(40):
+        x = rng.uniform(size=2)
+        a = actions[policy.choose(x, actions)]
+        policy.update(StatePoint(x, a), math.sin(3.0 * x[0]) * a[0] + 0.1 * rng.normal())
+    assert policy.history.shape == (40, 3)
+    if name != "kucb":
+        assert 1 < policy.dictionary.size < policy.t
+    if name in ("cbkb", "cbbkb"):
+        assert policy.resample_count >= 1
+    ctx = np.array([0.3, 0.8])
+    means, var = policy.scores(ctx, actions)
+    want_m, want_v = dense_posterior(policy, ctx, actions)
+    assert np.allclose(means, want_m, atol=1e-6)
+    assert np.allclose(var, want_v, atol=1e-6)
 
 
 def test_resampling_threshold_validation():
