@@ -1,8 +1,9 @@
-"""Amortized-growth array buffers.
+"""A row-growable array buffer.
 
 Policies append one row per round for thousands of rounds; reallocating the
-exact size each time would turn O(m^2) updates into O(m t) copies.  These
-buffers double capacity instead, so appends are amortized O(row).
+exact size each time would turn O(m^2) updates into O(m t) copies.  The
+buffer doubles its row capacity instead, so row appends are amortized O(row).
+Column appends are not: ``append_col`` copies the whole buffer every time.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ import numpy as np
 class GrowableMatrix:
     """Row-growable (and occasionally column-growable) float matrix."""
 
-    def __init__(self, cols: int, capacity: int = 16):
-        self._buf = np.zeros((max(capacity, 1), max(cols, 0)))
-        self.rows = 0
+    def __init__(self, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=float)
+        self.rows = rows.shape[0]
+        # the capacity appending the rows one by one would reach: 16 * 2^k
+        capacity = max(16, 1 << (self.rows - 1).bit_length())
+        self._buf = np.zeros((capacity, rows.shape[1]))
+        self._buf[: self.rows] = rows
 
     @property
     def cols(self) -> int:
@@ -45,21 +50,3 @@ class GrowableMatrix:
         bigger[:, : self.cols] = self._buf
         self._buf = bigger
         self._buf[: self.rows, -1] = col
-
-
-class GrowableVector:
-    def __init__(self, capacity: int = 16):
-        self._buf = np.zeros(max(capacity, 1))
-        self.size = 0
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._buf[: self.size]
-
-    def append(self, value: float) -> None:
-        if self.size == self._buf.shape[0]:
-            bigger = np.zeros(2 * self._buf.shape[0])
-            bigger[: self.size] = self._buf[: self.size]
-            self._buf = bigger
-        self._buf[self.size] = float(value)
-        self.size += 1

@@ -16,7 +16,7 @@ radius can be checked against the exactly known parameter vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,28 +161,18 @@ def coverage_test(config: CoverageConfig) -> float:
     """
     covered = 0
     for replay in range(config.replays):
-        env = Environment(
-            EnvSpec(
-                family=config.env.family,
-                context_dim=config.env.context_dim,
-                action_grid=config.env.action_grid,
-                noise_sigma=config.env.noise_sigma,
-                seed=config.env.seed + replay,
-            )
-        )
+        env = Environment(replace(config.env, seed=config.env.seed + replay))
         policy = ExactKernelUcb(config.kernel, config.lam, ExplorationSchedule())
         actions = env.action_grid()
-        dim = env.spec.context_dim + 1
-        phis = np.zeros((config.horizon, dim))
-        ys = np.zeros(config.horizon)
-        for t in range(config.horizon):
+        for _ in range(config.horizon):
             x = env.sample_context()
             idx = policy.choose(x, actions)
             outcome = env.step(x, actions[idx])
-            s = StatePoint(x, actions[idx])
-            policy.update(s, outcome.reward)
-            phis[t] = s.joint
-            ys[t] = outcome.reward
+            policy.update(StatePoint(x, actions[idx]), outcome.reward)
+        # the policy's packed history holds the features phi = (x, a) of the
+        # linear kernel, one row per round, beside the rewards
+        phis, ys = policy.history, policy.rewards
+        dim = phis.shape[1]
         # eigenvalues of the t x t gram and of the d x d scatter agree up to
         # zeros, so the horizon effective dimension comes from the small one
         scatter = phis.T @ phis

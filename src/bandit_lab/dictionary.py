@@ -18,7 +18,11 @@ estimator used here is
 which is the augmented-dictionary form (s appended at weight 1) reduced by one
 block elimination; tests check the two agree.  The matrix
 (S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, so a
-score costs O(m^2) after O(m) kernel evaluations.
+score costs O(m^2) after O(m) kernel evaluations.  Both are written once and
+shared: ``leverage_estimate`` is tau for one state or for a whole history (the
+resampling baseline scores every past state with it), and
+``dense_score_inverse`` builds the score inverse from scratch for a rebuilt
+dictionary and for a policy's drift recovery alike.
 
 Anchors are stored only as packed joint rows, the form ``gram_packed``
 consumes; a ``StatePoint`` is read where a caller hands one in.
@@ -146,6 +150,19 @@ class Dictionary:
             raise ValueError("bootstrap state rejected as duplicate")
 
 
+def leverage_estimate(k, r, params: KorsParams):
+    """tau = (1 + eps) max(k - r, 0) / max(k + mu - r, mu), for scalars or arrays."""
+    gap = np.maximum(k - r, 0.0)
+    return (1.0 + params.epsilon) * gap / np.maximum(k + params.mu - r, params.mu)
+
+
+def dense_score_inverse(kzz: np.ndarray, probs, mu: float, jitter: float = 0.0) -> SpdInverse:
+    """(S K_ZZ S + mu I)^{-1} with S = diag(1 / sqrt(probs)), from one factorization."""
+    weights = 1.0 / np.sqrt(np.asarray(probs))
+    scaled = kzz * np.outer(weights, weights)
+    return dense_spd_inverse(scaled + mu * np.eye(scaled.shape[0]), jitter=jitter)
+
+
 def _score_parts(
     d: Dictionary, s: StatePoint, params: KorsParams, spec: KernelSpec
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -157,10 +174,7 @@ def _score_parts(
     kz = d.cross_vector(spec, row, s.context.size)
     v = kz / np.sqrt(np.asarray(d.probs))
     r = float(v @ (d.score_inverse.matrix @ v))
-    gap = max(k_self - r, 0.0)
-    denom = max(k_self + params.mu - r, params.mu)
-    tau = (1.0 + params.epsilon) * gap / denom
-    return tau, row, kz, k_self
+    return float(leverage_estimate(k_self, r, params)), row, kz, k_self
 
 
 def leverage_score(
@@ -233,8 +247,6 @@ def rebuild_dictionary(
     """
     k = gram_packed(spec, states, states, context_dim=context_dim)
     kept, kzz_inverse = in_order_inverse(k)
-    weights = 1.0 / np.sqrt(probs[kept])
-    scaled = k[np.ix_(kept, kept)] * np.outer(weights, weights)
     return Dictionary(
         mu=mu,
         rng=rng,
@@ -242,6 +254,6 @@ def rebuild_dictionary(
         probs=[float(probs[i]) for i in kept],
         steps=[steps[i] for i in kept],
         kzz_inverse=kzz_inverse,
-        score_inverse=dense_spd_inverse(scaled + mu * np.eye(kept.size)),
+        score_inverse=dense_score_inverse(k[np.ix_(kept, kept)], probs[kept], mu),
         rejected_duplicates=len(states) - kept.size,
     )

@@ -13,7 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -179,31 +179,27 @@ class SweepCell:
     def total_wall_ns(self) -> np.ndarray:
         return np.array([float(r.total_wall_ns) for r in self._complete()])
 
-    def regret_curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t, mean, std) of cumulative regret across completed seeds."""
-        done = self._complete()
-        if not done:
+    @staticmethod
+    def _curves(per_run: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, mean, std) over runs of one equally long curve per run."""
+        if not per_run:
             return np.zeros(0), np.zeros(0), np.zeros(0)
-        curves = np.array([r.cumulative_regret for r in done])
+        curves = np.array(per_run)
         t = np.arange(1, curves.shape[1] + 1)
         return t, curves.mean(axis=0), curves.std(axis=0)
+
+    def regret_curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, mean, std) of cumulative regret across completed seeds."""
+        return self._curves([r.cumulative_regret for r in self._complete()])
 
     def time_curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, mean, std) of cumulative policy wall time in seconds."""
-        done = self._complete()
-        if not done:
-            return np.zeros(0), np.zeros(0), np.zeros(0)
-        curves = np.cumsum(np.array([r.wall_ns for r in done]), axis=1) / 1e9
-        t = np.arange(1, curves.shape[1] + 1)
-        return t, curves.mean(axis=0), curves.std(axis=0)
+        return self._curves([np.cumsum(r.wall_ns) / 1e9 for r in self._complete()])
 
 
 def max_parallelism(requested: int | None = None) -> int:
-    cap = os.environ.get("BANDIT_LAB_THREADS")
-    limit = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        limit = min(limit, max(int(cap), 1))
-    return max(limit, 1)
+    """Sweep workers: ``requested``, else one per CPU; at least one."""
+    return max(requested if requested is not None else (os.cpu_count() or 1), 1)
 
 
 def run_sweep(configs: list[RunConfig], parallelism: int | None = None) -> list[SweepCell]:
@@ -212,32 +208,21 @@ def run_sweep(configs: list[RunConfig], parallelism: int | None = None) -> list[
     Cells share nothing, so the schedule cannot change any result; a crashed
     cell is reported in its record and does not stop its neighbors.
     """
-    jobs = [(ci, config, seed) for ci, config in enumerate(configs) for seed in config.seeds]
-    results: dict[tuple[int, int], RunRecord] = {}
+    jobs = [(config, seed) for config in configs for seed in config.seeds]
 
     def _one(job):
-        ci, config, seed = job
+        config, seed = job
         try:
-            return ci, seed, run_single(config, seed)
+            return run_single(config, seed)
         except Exception as exc:  # noqa: BLE001 - isolate infrastructure failures too
             bad = RunRecord(label=config.label, policy=config.policy, seed=seed)
             bad.error = f"{type(exc).__name__}: {exc}"
-            return ci, seed, bad
+            return bad
 
-    workers = max_parallelism(parallelism)
-    if workers == 1:
-        finished = map(_one, jobs)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        finished = pool.map(_one, jobs)
-    for ci, seed, record in finished:
-        results[(ci, seed)] = record
-    if workers > 1:
-        pool.shutdown()
-    return [
-        SweepCell(config, [results[(ci, seed)] for seed in config.seeds])
-        for ci, config in enumerate(configs)
-    ]
+    # map yields the records in job order, whatever order the runs finish in
+    with ThreadPoolExecutor(max_workers=max_parallelism(parallelism)) as pool:
+        records = pool.map(_one, jobs)
+        return [SweepCell(config, [next(records) for _ in config.seeds]) for config in configs]
 
 
 def _format(value) -> str:
@@ -246,23 +231,27 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_trace(record: RunRecord, path: str) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for i in range(record.rounds):
-        row = (
-            i + 1,
-            record.chosen[i],
-            record.rewards[i],
-            record.instant_regret[i],
-            record.cumulative_regret[i],
-            record.dictionary_sizes[i],
-            record.wall_ns[i],
-        )
-        lines.append(",".join(_format(v) for v in row))
-    if record.error is not None:
-        lines.append(f"# aborted: {record.error}")
+def write_csv(path: str, header: str, rows, footer: tuple[str, ...] = ()) -> None:
+    """The header line, one comma-joined line per row, then any footer lines."""
+    lines = [header]
+    lines.extend(",".join(_format(v) for v in row) for row in rows)
+    lines.extend(footer)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace(record: RunRecord, path: str) -> None:
+    rows = zip(
+        range(1, record.rounds + 1),
+        record.chosen,
+        record.rewards,
+        record.instant_regret,
+        record.cumulative_regret,
+        record.dictionary_sizes,
+        record.wall_ns,
+    )
+    aborted = () if record.error is None else (f"# aborted: {record.error}",)
+    write_csv(path, ",".join(TRACE_COLUMNS), rows, aborted)
 
 
 def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
@@ -287,44 +276,36 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
                 header = "anchor_index,step_added,inclusion_prob," + ",".join(
                     f"coord_{j}" for j in range(width)
                 )
-                rows = [header]
-                for row in record.dictionary_rows:
-                    rows.append(",".join(_format(v) for v in row))
-                with open(dpath, "w") as fh:
-                    fh.write("\n".join(rows) + "\n")
+                write_csv(dpath, header, record.dictionary_rows)
                 written.append(dpath)
     summary_path = os.path.join(out_dir, "summary.csv")
-    lines = [
-        "label,policy,seeds,mean_total_regret,std_total_regret,"
-        "mean_total_wall_s,std_total_wall_s,mean_final_dictionary_size,errors,"
-        "rebuilds,resamples,rejected_duplicates"
-    ]
+    summary = []
     for cell in cells:
         regrets = cell.total_regrets
         walls = cell.total_wall_ns / 1e9
         sizes = np.array([r.final_dictionary_size for r in cell.records if r.error is None])
-        errors = sum(1 for r in cell.records if r.error is not None)
-        lines.append(
-            ",".join(
-                _format(v)
-                for v in (
-                    cell.config.label,
-                    cell.config.policy,
-                    len(cell.records),
-                    float(regrets.mean()) if regrets.size else math.nan,
-                    float(regrets.std()) if regrets.size else math.nan,
-                    float(walls.mean()) if walls.size else math.nan,
-                    float(walls.std()) if walls.size else math.nan,
-                    float(sizes.mean()) if sizes.size else math.nan,
-                    errors,
-                    sum(r.rebuilds for r in cell.records),
-                    sum(r.resamples for r in cell.records),
-                    sum(r.rejected_duplicates for r in cell.records),
-                )
+        summary.append(
+            (
+                cell.config.label,
+                cell.config.policy,
+                len(cell.records),
+                float(regrets.mean()) if regrets.size else math.nan,
+                float(regrets.std()) if regrets.size else math.nan,
+                float(walls.mean()) if walls.size else math.nan,
+                float(walls.std()) if walls.size else math.nan,
+                float(sizes.mean()) if sizes.size else math.nan,
+                sum(1 for r in cell.records if r.error is not None),
+                sum(r.rebuilds for r in cell.records),
+                sum(r.resamples for r in cell.records),
+                sum(r.rejected_duplicates for r in cell.records),
             )
         )
-    with open(summary_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = (
+        "label,policy,seeds,mean_total_regret,std_total_regret,"
+        "mean_total_wall_s,std_total_wall_s,mean_final_dictionary_size,errors,"
+        "rebuilds,resamples,rejected_duplicates"
+    )
+    write_csv(summary_path, header, summary)
     written.append(summary_path)
 
     regret_fig = svgplot.Figure("Cumulative regret", "round", "regret")
@@ -344,7 +325,7 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
     return written
 
 
-def diagnostic_checkpoints(horizon: int, count: int = 8) -> list[int]:
+def diagnostic_checkpoints(horizon: int) -> list[int]:
     """Geometrically spaced round indices ending at the horizon."""
     first = min(10, horizon)
     points = set([horizon])
@@ -363,27 +344,13 @@ def write_diagnostics(config: RunConfig, out_dir: str) -> str:
         raise RuntimeError(f"replay failed: {record.error}")
     packed = pack(record.states)
     ctx_dim = record.states[0].context.size
-    lines = ["t,lambda,d_eff,info_gain,valko_d,prop1_lhs,prop1_rhs"]
+    rows = []
     for t in diagnostic_checkpoints(config.horizon):
         k = gram_packed(config.kernel, packed[:t], packed[:t], context_dim=ctx_dim)
         report = complexity_report(
             k, config.lam, config.kernel.kappa, max(config.horizon, 2)
         )
-        lines.append(
-            ",".join(
-                _format(v)
-                for v in (
-                    t,
-                    report.lam,
-                    report.d_eff,
-                    report.info_gain,
-                    report.valko_d,
-                    report.prop1_lhs,
-                    report.prop1_rhs,
-                )
-            )
-        )
+        rows.append(astuple(report))  # (t, lam, d_eff, ...) in field order
     path = os.path.join(out_dir, "diagnostics.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "t,lambda,d_eff,info_gain,valko_d,prop1_lhs,prop1_rhs", rows)
     return path

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grow import GrowableMatrix, GrowableVector
-from .dictionary import Dictionary, KorsParams, kors_step, rebuild_dictionary
+from ._grow import GrowableMatrix
+from .dictionary import Dictionary, KorsParams, dense_score_inverse, kors_step
+from .dictionary import leverage_estimate, rebuild_dictionary
 from .kernels import KernelSpec, StatePoint, diag_packed, evaluate, gram_packed
 from .linalg import (
     LinalgError,
@@ -157,17 +158,17 @@ class _KernelPolicy:
         self.lam = lam
         self.schedule = schedule
         self._history: GrowableMatrix | None = None
-        self._rewards = GrowableVector()
+        self._rewards = GrowableMatrix(np.zeros((0, 1)))
         self._context_dim: int | None = None
         self._jitter = 1e-10 * kernel.kappa**2
 
     @property
     def t(self) -> int:
-        return self._rewards.size
+        return self._rewards.rows
 
     @property
     def rewards(self) -> np.ndarray:
-        return self._rewards.view
+        return self._rewards.view[:, 0]
 
     @property
     def history(self) -> np.ndarray:
@@ -184,12 +185,12 @@ class _KernelPolicy:
         row = s.joint
         if self._history is None:
             self._context_dim = s.context.size
-            self._history = GrowableMatrix(row.size)
+            self._history = GrowableMatrix(np.zeros((0, row.size)))
         return row
 
     def _store(self, row: np.ndarray, reward: float) -> None:
         self._history.append_row(row)
-        self._rewards.append(reward)
+        self._rewards.append_row([reward])
 
 
 class ExactKernelUcb(_KernelPolicy):
@@ -210,8 +211,6 @@ class ExactKernelUcb(_KernelPolicy):
         q = _query_block(context, actions)
         ctx_dim = np.asarray(context).reshape(-1).shape[0]
         kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
-        if self.t == 0:
-            return np.zeros(q.shape[0]), _guard_variances(kdiag / self.lam)
         cross = gram_packed(self.kernel, self.history, q, context_dim=ctx_dim)
         alpha = self.k_lambda_inverse.matrix @ self.rewards
         means = cross.T @ alpha
@@ -295,11 +294,15 @@ class ProjectedKernelUcb(_KernelPolicy):
         kzq = gram_packed(self.kernel, self.dictionary.packed, q, context_dim=ctx_dim)
         kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
         means = kzq.T @ (self.lambda_inverse.matrix @ self.gamma_vec)
+        return means, self._variances(kzq, kdiag)
+
+    def _variances(self, kzq: np.ndarray, kdiag: np.ndarray) -> np.ndarray:
+        """Guarded posterior variances of the states with anchor columns ``kzq``."""
         correction = (
             self.lambda_inverse.matrix - self.dictionary.kzz_inverse.matrix / self.lam
         )
         quad = np.einsum("ij,ij->j", kzq, correction @ kzq)
-        return means, _guard_variances(kdiag / self.lam + quad)
+        return _guard_variances(kdiag / self.lam + quad)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
@@ -320,19 +323,14 @@ class ProjectedKernelUcb(_KernelPolicy):
         self._store(self._row(s), reward)
         self.dictionary.seed(self.kernel, s, step=0)
         k00 = evaluate(self.kernel, s, s)
-        self._cross = GrowableMatrix(1)
-        self._cross.append_row(np.array([k00]))
+        self._cross = GrowableMatrix(np.array([[k00]]))
         self.lambda_inverse = SpdInverse(
             np.array([[1.0 / (k00 * k00 + self.lam * k00)]])
         )
         self.gamma_vec = np.array([k00 * reward])
 
-    def _append_state(
-        self, s: StatePoint, reward: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """No-add branch shared with the resampling baseline; returns (row, K_Z(s))."""
-        row = self._row(s)
-        kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
+    def _append_state(self, row: np.ndarray, kz: np.ndarray, reward: float) -> None:
+        """No-add branch shared with the resampling baseline."""
         self._cross.append_row(kz)
         self._store(row, reward)
         try:
@@ -343,7 +341,6 @@ class ProjectedKernelUcb(_KernelPolicy):
         except LinalgError:
             self.rebuilds["singular_update"] += 1
             self.refactor()
-        return row, kz
 
     def _admit_anchor(self, s: StatePoint, row: np.ndarray, kz: np.ndarray) -> None:
         """Extend Lam, Gam and the cross block after the sampler admits s.
@@ -372,7 +369,9 @@ class ProjectedKernelUcb(_KernelPolicy):
         if self.t == 0:
             self._bootstrap(s, reward)
             return
-        row, kz = self._append_state(s, reward)
+        row = self._row(s)
+        kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
+        self._append_state(row, kz, reward)
         before = self.dictionary.size
         if kors_step(self.dictionary, self.t - 1, s, self.kors, self.kernel):
             assert self.dictionary.size == before + 1
@@ -382,10 +381,8 @@ class ProjectedKernelUcb(_KernelPolicy):
         """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path."""
         kzz = self._dense_posterior()
         self.dictionary.kzz_inverse = dense_spd_inverse(kzz, jitter=self._jitter)
-        weights = 1.0 / np.sqrt(np.asarray(self.dictionary.probs))
-        scaled = kzz * np.outer(weights, weights)
-        self.dictionary.score_inverse = dense_spd_inverse(
-            scaled + self.kors.mu * np.eye(scaled.shape[0]), jitter=self._jitter
+        self.dictionary.score_inverse = dense_score_inverse(
+            kzz, self.dictionary.probs, self.kors.mu, jitter=self._jitter
         )
 
     def _dense_posterior(self) -> np.ndarray:
@@ -445,8 +442,11 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         if self.t == 0:
             self._bootstrap(s, reward)
             return
-        _, var_s = self.score_one(s)
-        self._append_state(s, reward)
+        row = self._row(s)
+        kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
+        kdiag = diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)
+        var_s = float(self._variances(kz.reshape(-1, 1), kdiag)[0])
+        self._append_state(row, kz, reward)
         self.accumulated_variance += var_s
         if self.accumulated_variance > self.accumulation_threshold - 1.0:
             self._resample()
@@ -458,9 +458,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         weights = 1.0 / np.sqrt(np.asarray(d.probs))
         v = self._cross.view * weights[None, :]
         r = np.einsum("ij,ij->i", v @ d.score_inverse.matrix, v)
-        gap = np.maximum(kdiag - r, 0.0)
-        denom = np.maximum(kdiag + self.kors.mu - r, self.kors.mu)
-        tau = (1.0 + self.kors.epsilon) * gap / denom
+        tau = leverage_estimate(kdiag, r, self.kors)
         probs = np.clip(self.kors.gamma * tau, 0.0, 1.0)
         keep = d.rng.uniform(size=probs.shape[0]) < probs
         if not keep.any():
@@ -486,9 +484,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             self.history,
             context_dim=self._context_dim,
         )
-        self._cross = GrowableMatrix(self.dictionary.size)
-        for row in kzs.T:
-            self._cross.append_row(row)
+        self._cross = GrowableMatrix(kzs.T)
         self._dense_posterior()
         self.accumulated_variance = 0.0
         self.resample_count += 1

@@ -1,0 +1,62 @@
+import numpy as np
+import pytest
+
+from bandit_lab._grow import GrowableMatrix
+
+
+def test_empty_start_has_the_given_width():
+    m = GrowableMatrix(np.zeros((0, 3)))
+    assert m.rows == 0 and m.cols == 3
+    assert m.view.shape == (0, 3)
+
+
+def test_initial_rows_are_copied():
+    rows = np.arange(6.0).reshape(3, 2)
+    m = GrowableMatrix(rows)
+    rows[0, 0] = -1.0
+    assert m.rows == 3
+    assert np.array_equal(m.view, np.arange(6.0).reshape(3, 2))
+
+
+def test_initial_rows_from_a_transposed_block():
+    block = np.arange(6.0).reshape(2, 3)
+    m = GrowableMatrix(block.T)
+    assert np.array_equal(m.view, block.T)
+    assert m.view.flags["C_CONTIGUOUS"]
+
+
+def test_rows_grow_past_capacity_and_keep_their_values():
+    m = GrowableMatrix(np.zeros((0, 2)))
+    capacity = m._buf.shape[0]
+    want = [np.array([i, -i], dtype=float) for i in range(3 * capacity + 1)]
+    for row in want:
+        m.append_row(row)
+    assert m.rows == len(want)
+    assert m._buf.shape[0] >= m.rows
+    assert np.array_equal(m.view, np.array(want))
+
+
+def test_append_row_after_initial_rows():
+    m = GrowableMatrix(np.ones((20, 2)))
+    m.append_row([2.0, 3.0])
+    assert m.rows == 21
+    assert np.array_equal(m.view[-1], [2.0, 3.0])
+    assert np.array_equal(m.view[:20], np.ones((20, 2)))
+
+
+def test_append_col_extends_every_row():
+    m = GrowableMatrix(np.arange(4.0).reshape(2, 2))
+    m.append_col([7.0, 8.0])
+    assert m.cols == 3
+    assert np.array_equal(m.view, [[0.0, 1.0, 7.0], [2.0, 3.0, 8.0]])
+    m.append_row([1.0, 2.0, 3.0])
+    assert np.array_equal(m.view[-1], [1.0, 2.0, 3.0])
+
+
+def test_width_mismatches_raise():
+    m = GrowableMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="row width"):
+        m.append_row([1.0, 2.0])
+    with pytest.raises(ValueError, match="column length"):
+        m.append_col([1.0, 2.0, 3.0])
+    assert m.rows == 2 and m.cols == 3

@@ -186,12 +186,9 @@ def test_sweep_results_do_not_depend_on_parallelism():
         ]
 
 
-def test_max_parallelism_env_cap(monkeypatch):
-    monkeypatch.setenv("BANDIT_LAB_THREADS", "2")
-    assert max_parallelism(8) == 2
-    assert max_parallelism(1) == 1
-    monkeypatch.delenv("BANDIT_LAB_THREADS")
+def test_max_parallelism_takes_the_request():
     assert max_parallelism(8) == 8
+    assert max_parallelism(1) == 1
     assert max_parallelism(None) >= 1
 
 

@@ -61,6 +61,9 @@ def test_tracer_patches_every_target_and_records_kors_steps():
     calls, _, _ = tr.self_times()
     # every ekucb round after the bootstrap scores one state with kors_step
     assert calls["dictionary.kors_step"] == ekucb.rounds - 1
+    # policies score candidates in choose only, once per round after the
+    # bootstrap; the resampling update scores its state without scores()
+    assert calls["policies.scores"] == (ekucb.rounds - 1) + (cbkb.rounds - 1)
     assert calls["dictionary.rebuild_dictionary"] == cbkb.resamples
     kept = tr.counts["dictionary.rebuild_kept"]
     assert tr.counts["dictionary.rebuild_states"] >= kept > 0

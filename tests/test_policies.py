@@ -273,6 +273,26 @@ def test_resampling_never_fires_at_infinite_threshold():
     assert policy.dictionary.size == 1  # frozen at the bootstrap anchor
 
 
+@pytest.mark.parametrize("threshold", [math.inf, 4.0])
+def test_accumulated_variance_sums_the_scored_variances(threshold):
+    # update takes the chosen state's variance from its one K_Z(s) column; it
+    # must be, bit for bit, what score_one reports just before the update
+    rng = np.random.default_rng(9)
+    policy = make_resampling(threshold)
+    total = 0.0
+    for _ in range(60):
+        s = random_state(rng)
+        resamples = policy.resample_count
+        var = policy.score_one(s)[1] if policy.t else 0.0
+        policy.update(s, rng.normal())
+        total = 0.0 if policy.resample_count > resamples else total + var
+        assert policy.accumulated_variance == total
+    if math.isinf(threshold):
+        assert policy.resample_count == 0
+    else:
+        assert policy.resample_count >= 2
+
+
 def test_resampling_state_consistent_after_resamples():
     rng = np.random.default_rng(8)
     policy = make_resampling(1.5, seed=5, lam=10.0)
