@@ -79,13 +79,14 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, st
     return base, variants
 
 
-def _as_float(kv: dict[str, str], key: str, default: float) -> float:
+def _as_float(kv: dict[str, str], key: str, default: float | None) -> float | None:
     if key not in kv:
         return default
-    value = kv[key].lower()
-    if value in ("inf", "infinity"):
-        return math.inf
-    return float(kv[key])
+    value = float(kv[key])
+    if math.isnan(value):
+        # every comparison with NaN is false, so it would pass each range check
+        raise ValueError(f"{key}: expected a number, got {kv[key]!r}")
+    return value
 
 
 def _as_int(kv: dict[str, str], key: str, default: int) -> int:
@@ -169,7 +170,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
             bandwidth=_as_float(kv, "kernel.bandwidth", 0.2),
             kappa=kappa,
         )
-    gamma = _as_float(kv, "policy.gamma", math.nan)
     schedule = ExplorationSchedule(
         mode=kv.get("policy.beta_mode", "fixed"),
         beta=_as_float(kv, "policy.beta", 1.0),
@@ -187,7 +187,7 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         policy=kv.get("policy.name", "kucb"),
         lam=_as_float(kv, "policy.lambda", 1.0),
         mu=_as_float(kv, "policy.mu", 1.0),
-        gamma=None if math.isnan(gamma) else gamma,
+        gamma=_as_float(kv, "policy.gamma", None),
         epsilon=_as_float(kv, "policy.epsilon", 0.5),
         schedule=schedule,
         accumulation_threshold=_as_float(kv, "policy.accumulation_threshold", 10.0),

@@ -25,7 +25,9 @@ resampling baseline scores every past state with it), and
 dictionary and for a policy's drift recovery alike.
 
 Anchors are stored only as packed joint rows, the form ``gram_packed``
-consumes; a ``StatePoint`` is read where a caller hands one in.
+consumes.  ``kors_step`` takes a state as its joint row, K_Z(s) and k(s, s),
+the values its policy computed for its own update, and ``Dictionary.seed`` as
+its row and k(s, s); only ``leverage_score`` reads a ``StatePoint``.
 """
 
 from __future__ import annotations
@@ -142,11 +144,9 @@ class Dictionary:
         self.steps.append(step)
         return True
 
-    def seed(self, spec: KernelSpec, s: StatePoint, step: int = 0) -> None:
-        """Deterministically admit the bootstrap state at weight 1."""
-        row = s.joint
-        kz = self.cross_vector(spec, row, s.context.size)
-        if not self._admit(row, evaluate(spec, s, s), 1.0, step, kz):
+    def seed(self, row: np.ndarray, k_self: float) -> None:
+        """Admit the bootstrap state, its row and k(s, s), at weight 1 and step 0."""
+        if not self._admit(row, k_self, 1.0, 0, np.zeros(0)):
             raise ValueError("bootstrap state rejected as duplicate")
 
 
@@ -163,37 +163,35 @@ def dense_score_inverse(kzz: np.ndarray, probs, mu: float, jitter: float = 0.0) 
     return dense_spd_inverse(scaled + mu * np.eye(scaled.shape[0]), jitter=jitter)
 
 
-def _score_parts(
-    d: Dictionary, s: StatePoint, params: KorsParams, spec: KernelSpec
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """(tau, the joint row of s, K_Z(s), k(s, s))."""
+def _tau(d: Dictionary, kz: np.ndarray, k_self: float, params: KorsParams) -> float:
+    """tau of the state with anchor column K_Z(s) = ``kz`` and k(s, s) = ``k_self``."""
     if params.mu != d.mu:
         raise ValueError("params.mu differs from the dictionary's mu")
-    k_self = evaluate(spec, s, s)
-    row = s.joint
-    kz = d.cross_vector(spec, row, s.context.size)
     v = kz / np.sqrt(np.asarray(d.probs))
     r = float(v @ (d.score_inverse.matrix @ v))
-    return float(leverage_estimate(k_self, r, params)), row, kz, k_self
+    return float(leverage_estimate(k_self, r, params))
 
 
 def leverage_score(
     d: Dictionary, s: StatePoint, params: KorsParams, spec: KernelSpec
 ) -> float:
     """Estimated ridge leverage score of ``s`` against the current anchors."""
-    return _score_parts(d, s, params, spec)[0]
+    kz = d.cross_vector(spec, s.joint, s.context.size)
+    return _tau(d, kz, evaluate(spec, s, s), params)
 
 
 def kors_step(
-    d: Dictionary, t: int, s: StatePoint, params: KorsParams, spec: KernelSpec
+    d: Dictionary, t: int, row: np.ndarray, kz: np.ndarray, k_self: float, params: KorsParams
 ) -> bool:
-    """Score ``s``, flip the inclusion coin, admit on success.
+    """Score a state, flip the inclusion coin, admit on success.
 
-    Returns whether the state became an anchor.  Exactly one uniform draw is
-    consumed per call regardless of outcome, so the coin-flip stream stays
-    aligned across configurations that share a seed.
+    ``row``, ``kz`` = K_Z(s) and ``k_self`` = k(s, s) describe the state, as
+    its policy computed them for its own update.  Returns whether the state
+    became an anchor.  Exactly one uniform draw is consumed per call
+    regardless of outcome, so the coin-flip stream stays aligned across
+    configurations that share a seed.
     """
-    tau, row, kz, k_self = _score_parts(d, s, params, spec)
+    tau = _tau(d, kz, k_self, params)
     if math.isinf(params.gamma):
         prob = 1.0
     else:

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .diagnostics import complexity_report
 from .dictionary import KorsParams
 from .environments import Environment
-from .kernels import StatePoint, gram_packed, pack
+from .kernels import StatePoint, gram_packed
 from .policies import (
     ExactKernelUcb,
     ProjectedKernelUcb,
@@ -101,7 +101,6 @@ class RunRecord:
     rebuilds: int = 0
     resamples: int = 0
     rejected_duplicates: int = 0
-    states: list[StatePoint] | None = None
     dictionary_rows: list[tuple] | None = None
 
     @property
@@ -121,16 +120,12 @@ class RunRecord:
         return self.dictionary_sizes[-1] if self.dictionary_sizes else 0
 
 
-def run_single(
-    config: RunConfig, seed: int, collect_states: bool = False
-) -> RunRecord:
+def run_single(config: RunConfig, seed: int) -> RunRecord:
     """One seeded run; failures abort the loop and mark the partial record."""
     env = _env_for_run(config, seed)
     policy = build_policy(config, seed)
     actions = env.action_grid()
     record = RunRecord(label=config.label, policy=config.policy, seed=seed)
-    if collect_states:
-        record.states = []
     cum = 0.0
     for _ in range(config.horizon):
         x = env.sample_context()
@@ -153,8 +148,6 @@ def run_single(
         record.cumulative_regret.append(cum)
         record.dictionary_sizes.append(policy.dictionary_size)
         record.wall_ns.append((mid - started) + (finished - resumed))
-        if collect_states:
-            record.states.append(s)
     record.rebuilds = sum(getattr(policy, "rebuilds", {}).values())
     record.resamples = getattr(policy, "resample_count", 0)
     record.rejected_duplicates = getattr(policy, "rejected_duplicates", 0)
@@ -339,11 +332,16 @@ def diagnostic_checkpoints(horizon: int) -> list[int]:
 def write_diagnostics(config: RunConfig, out_dir: str) -> str:
     """Replay the first seed, then report complexity measures at checkpoints."""
     os.makedirs(out_dir, exist_ok=True)
-    record = run_single(config, config.seeds[0], collect_states=True)
+    seed = config.seeds[0]
+    record = run_single(config, seed)
     if record.error is not None:
         raise RuntimeError(f"replay failed: {record.error}")
-    packed = pack(record.states)
-    ctx_dim = record.states[0].context.size
+    # contexts come from their own substream, so a fresh environment draws the
+    # run's contexts again whatever the policy chose
+    env = _env_for_run(config, seed)
+    contexts = [env.sample_context() for _ in range(record.rounds)]
+    packed = np.hstack([np.array(contexts), env.action_grid()[record.chosen]])
+    ctx_dim = config.env.context_dim
     rows = []
     for t in diagnostic_checkpoints(config.horizon):
         k = gram_packed(config.kernel, packed[:t], packed[:t], context_dim=ctx_dim)

@@ -319,15 +319,14 @@ class ProjectedKernelUcb(_KernelPolicy):
         )
         return int(np.argmax(means + beta * np.sqrt(var)))
 
-    def _bootstrap(self, s: StatePoint, reward: float) -> None:
-        self._store(self._row(s), reward)
-        self.dictionary.seed(self.kernel, s, step=0)
-        k00 = evaluate(self.kernel, s, s)
-        self._cross = GrowableMatrix(np.array([[k00]]))
+    def _bootstrap(self, row: np.ndarray, k_self: float, reward: float) -> None:
+        self._store(row, reward)
+        self.dictionary.seed(row, k_self)
+        self._cross = GrowableMatrix(np.array([[k_self]]))
         self.lambda_inverse = SpdInverse(
-            np.array([[1.0 / (k00 * k00 + self.lam * k00)]])
+            np.array([[1.0 / (k_self * k_self + self.lam * k_self)]])
         )
-        self.gamma_vec = np.array([k00 * reward])
+        self.gamma_vec = np.array([k_self * reward])
 
     def _append_state(self, row: np.ndarray, kz: np.ndarray, reward: float) -> None:
         """No-add branch shared with the resampling baseline."""
@@ -342,7 +341,7 @@ class ProjectedKernelUcb(_KernelPolicy):
             self.rebuilds["singular_update"] += 1
             self.refactor()
 
-    def _admit_anchor(self, s: StatePoint, row: np.ndarray, kz: np.ndarray) -> None:
+    def _admit_anchor(self, row: np.ndarray, kz: np.ndarray, k_self: float) -> None:
         """Extend Lam, Gam and the cross block after the sampler admits s.
 
         Near dictionary saturation the drifted Lam estimate can make the
@@ -354,7 +353,7 @@ class ProjectedKernelUcb(_KernelPolicy):
             self.kernel, self.history, row[None, :], context_dim=self._context_dim
         )[:, 0]
         b = self._cross.view.T @ ks_z + self.lam * kz
-        c = float(ks_z @ ks_z) + self.lam * evaluate(self.kernel, s, s)
+        c = float(ks_z @ ks_z) + self.lam * k_self
         self.gamma_vec = np.append(self.gamma_vec, float(ks_z @ self.rewards))
         self._cross.append_col(ks_z)
         try:
@@ -366,16 +365,17 @@ class ProjectedKernelUcb(_KernelPolicy):
             self.refactor()
 
     def update(self, s: StatePoint, reward: float) -> None:
-        if self.t == 0:
-            self._bootstrap(s, reward)
-            return
         row = self._row(s)
+        k_self = evaluate(self.kernel, s, s)
+        if self.t == 0:
+            self._bootstrap(row, k_self, reward)
+            return
         kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
         self._append_state(row, kz, reward)
         before = self.dictionary.size
-        if kors_step(self.dictionary, self.t - 1, s, self.kors, self.kernel):
+        if kors_step(self.dictionary, self.t - 1, row, kz, k_self, self.kors):
             assert self.dictionary.size == before + 1
-            self._admit_anchor(s, row, kz)
+            self._admit_anchor(row, kz, k_self)
 
     def refactor(self) -> None:
         """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path."""
@@ -439,10 +439,10 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         self.resample_count = 0
 
     def update(self, s: StatePoint, reward: float) -> None:
-        if self.t == 0:
-            self._bootstrap(s, reward)
-            return
         row = self._row(s)
+        if self.t == 0:
+            self._bootstrap(row, evaluate(self.kernel, s, s), reward)
+            return
         kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
         kdiag = diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)
         var_s = float(self._variances(kz.reshape(-1, 1), kdiag)[0])

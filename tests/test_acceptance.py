@@ -29,7 +29,7 @@ from bandit_lab.dictionary import (
 )
 from bandit_lab.environments import Environment, EnvSpec
 from bandit_lab.harness import run_single, run_sweep
-from bandit_lab.kernels import KernelSpec, StatePoint, gram, gram_packed
+from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram, gram_packed
 from bandit_lab.linalg import log_det_ratio
 from bandit_lab.policies import (
     ExactKernelUcb,
@@ -210,7 +210,9 @@ def test_acceptance_4_projection_error_guarantee():
             x = env.sample_context()
             s = StatePoint(x, grid[action_rng.integers(grid.shape[0])])
             states.append(s)
-            kors_step(d, t, s, params, GAUSS)
+            kors_step(
+                d, t, s.joint, d.cross_vector(GAUSS, s.joint, x.size), evaluate(GAUSS, s, s), params
+            )
         proj_ok += projection_error(d, states, GAUSS) <= mu
         d_eff = effective_dimension(gram(GAUSS, states, states), mu)
         size_ok += d.size <= 9.0 * d_eff * log_term

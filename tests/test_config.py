@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -78,6 +79,43 @@ def test_gamma_parsing():
     assert build_run_config({"policy.gamma": "2.5"}).gamma == 2.5
     assert build_run_config({"policy.gamma": "inf"}).gamma == math.inf
     assert build_run_config({}).gamma is None
+
+
+FLOAT_KEYS = (
+    "env.noise_sigma",
+    "env.band_width",
+    "kernel.bandwidth",
+    "kernel.kappa",
+    "kernel.context_bandwidth",
+    "kernel.action_bandwidth",
+    "policy.lambda",
+    "policy.mu",
+    "policy.gamma",
+    "policy.epsilon",
+    "policy.beta",
+    "policy.norm_bound",
+    "policy.delta",
+    "policy.accumulation_threshold",
+)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_float_keys_reject_nan(key):
+    # NaN fails every comparison, so no range check downstream would catch it
+    kv = {key: "nan"}
+    if key.startswith(("kernel.context_", "kernel.action_")):
+        kv["kernel.family"] = "tensor"  # the factor bandwidths are read only there
+    with pytest.raises(ValueError, match=re.escape(key)):
+        build_run_config(kv)
+
+
+@pytest.mark.parametrize("text", ["inf", "Infinity"])
+def test_float_keys_parse_infinity(text):
+    config = build_run_config(
+        {"policy.gamma": text, "policy.accumulation_threshold": text}
+    )
+    assert config.gamma == math.inf
+    assert config.accumulation_threshold == math.inf
 
 
 def test_bool_and_refactor_parsing():

@@ -21,6 +21,12 @@ def random_state(rng, ctx_dim=2):
     return StatePoint(rng.uniform(size=ctx_dim), rng.uniform(size=1))
 
 
+def step(d, t, s, params):
+    """``kors_step`` on ``s``, given its row, K_Z(s) and k(s, s) as a policy gives them."""
+    kz = d.cross_vector(GAUSS, s.joint, s.context.size)
+    return kors_step(d, t, s.joint, kz, evaluate(GAUSS, s, s), params)
+
+
 def dense_score_oracle(d, s, params, spec):
     """Augmented-dictionary estimator computed the slow, literal way:
     append s at weight one, scale by inclusion probabilities, solve densely."""
@@ -41,7 +47,7 @@ def grown_dictionary(seed, n, mu=1.0, gamma=3.0):
     for t in range(n):
         s = random_state(rng)
         history.append(s)
-        kors_step(d, t, s, params, GAUSS)
+        step(d, t, s, params)
     return d, history, params
 
 
@@ -67,7 +73,7 @@ def test_score_of_duplicate_anchor_vanishes_at_large_mu():
     s = random_state(rng)
     for mu in (1.0, 10.0, 100.0):
         d = Dictionary(mu=mu, rng=np.random.default_rng(4))
-        d.seed(GAUSS, s)
+        d.seed(s.joint, evaluate(GAUSS, s, s))
         score = leverage_score(d, s, KorsParams(mu=mu), GAUSS)
         # an exactly represented point: tau = 1.5 k / (2k + mu) -> 0 as mu grows
         assert score == pytest.approx(1.5 / (2.0 + mu), abs=1e-10)
@@ -81,7 +87,7 @@ def test_forced_inclusion_admits_everything():
     d = Dictionary(mu=1.0, rng=np.random.default_rng(6))
     params = KorsParams(mu=1.0, gamma=math.inf)
     for t in range(30):
-        assert kors_step(d, t, random_state(rng), params, GAUSS)
+        assert step(d, t, random_state(rng), params)
     assert d.size == 30
     assert d.steps == list(range(30))
     assert all(p == 1.0 for p in d.probs)
@@ -91,8 +97,8 @@ def test_duplicate_candidate_rejected_not_added():
     d = Dictionary(mu=1.0, rng=np.random.default_rng(7))
     params = KorsParams(mu=1.0, gamma=math.inf)
     s = random_state(np.random.default_rng(8))
-    assert kors_step(d, 0, s, params, GAUSS)
-    assert not kors_step(d, 1, s, params, GAUSS)
+    assert step(d, 0, s, params)
+    assert not step(d, 1, s, params)
     assert d.size == 1
     assert d.rejected_duplicates == 1
 
@@ -115,8 +121,8 @@ def test_one_coin_flip_per_step_keeps_streams_aligned():
     slow = KorsParams(mu=1.0, gamma=0.05)  # mostly rejects
     fast = KorsParams(mu=1.0, gamma=math.inf)  # always admits
     for t in range(25):
-        kors_step(a, t, random_state(rng_pts), slow, GAUSS)
-        kors_step(b, t, random_state(rng_pts), fast, GAUSS)
+        step(a, t, random_state(rng_pts), slow)
+        step(b, t, random_state(rng_pts), fast)
     assert float(a.rng.uniform()) == pytest.approx(float(b.rng.uniform()), abs=0.0)
 
 
@@ -126,7 +132,7 @@ def test_anchors_grow_monotonically():
     params = KorsParams(mu=1.0, gamma=2.0)
     seen = []
     for t in range(50):
-        kors_step(d, t, random_state(rng), params, GAUSS)
+        step(d, t, random_state(rng), params)
         assert d.size >= len(seen)
         # prefix preserved, never reordered
         assert d.packed[: len(seen)].tolist() == seen
@@ -163,7 +169,7 @@ def test_rebuild_rejects_duplicates_like_online_admission():
     online = Dictionary(mu=1.0, rng=np.random.default_rng(27))
     params = KorsParams(mu=1.0, gamma=math.inf)
     for t, s in enumerate(states):
-        kors_step(online, t, s, params, GAUSS)
+        step(online, t, s, params)
     probs = np.linspace(0.3, 1.0, len(states))
     steps = list(range(len(states)))
     d = rebuild_dictionary(
@@ -194,7 +200,7 @@ def test_dictionary_size_shrinks_with_mu():
             d = Dictionary(mu=mu, rng=np.random.default_rng(300 + seed))
             params = KorsParams(mu=mu, gamma=5.0)
             for t in range(120):
-                kors_step(d, t, random_state(rng), params, GAUSS)
+                step(d, t, random_state(rng), params)
             acc.append(d.size)
         sizes[mu] = float(np.mean(acc))
     assert sizes[1.0] <= sizes[0.1]
@@ -229,7 +235,7 @@ def test_projection_error_stays_below_mu_with_theory_budget():
         for t in range(horizon):
             s = random_state(rng)
             history.append(s)
-            kors_step(d, t, s, params, GAUSS)
+            step(d, t, s, params)
         if projection_error(d, history, GAUSS) > 1.0:
             failures += 1
     assert failures <= 1
@@ -240,6 +246,8 @@ def test_mu_mismatch_rejected():
     s = random_state(np.random.default_rng(24))
     with pytest.raises(ValueError):
         leverage_score(d, s, KorsParams(mu=2.0), GAUSS)
+    with pytest.raises(ValueError):
+        step(d, 0, s, KorsParams(mu=2.0))
 
 
 def test_params_validation():

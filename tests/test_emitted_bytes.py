@@ -1,10 +1,12 @@
 """The files a fixed small sweep writes keep their bytes.
 
 One sweep covers every policy with dictionary dumps on and one record marked
-aborted; ``emit_outputs`` and ``write_diagnostics`` write its files.  Each
-file's SHA-256, taken after dropping the wall-clock columns, must equal the
-digest pinned below, so a refactor that changes one emitted bit, or the
-layout of one file, fails here.  ``time.svg`` plots wall time only and is not
+aborted; ``emit_outputs`` and ``write_diagnostics`` write its files.  A second
+sweep runs three short cells of the shipped presets that take the recovery
+paths the first never reaches: dense rebuilds, rejected near-duplicates,
+resamples and a drift abort.  Each file's SHA-256, taken after dropping the
+wall-clock columns, must equal the digest pinned below, so a refactor that
+changes one emitted bit, or the layout of one file, fails here.  ``time.svg`` plots wall time only and is not
 pinned.  The digests were taken with numpy 2.4 and scipy 1.17 and their
 bundled OpenBLAS on x86-64; another BLAS build may round differently, and
 then they must be taken again from a commit known to be correct.
@@ -12,8 +14,10 @@ then they must be taken again from a commit known to be correct.
 
 import hashlib
 import os
+from dataclasses import replace
+from importlib import resources
 
-from bandit_lab.config import build_run_config
+from bandit_lab.config import build_run_config, expand_variants, parse_config_text
 from bandit_lab.harness import emit_outputs, run_sweep, write_diagnostics
 
 POLICIES = ("kucb", "ekucb", "cbkb", "cbbkb", "random")
@@ -44,6 +48,28 @@ DIGESTS = {
     "trace_kucb_1.csv": "76ee9612060cce4e79adc7bd6d3de34ec6321fe9aecabeb4f2322671b251bc19",
     "trace_random_0.csv": "b24a2e2ac4d4af9bbbba16aabb09b551aab808936c08c2754fc8d1712c29521f",
     "trace_random_1.csv": "177ae41dabc1d70d2066a8638d4a4df0439c7391d020ee530aa407f52c973c7b",
+}
+
+# (preset, variant, seed): each runs at its preset settings until its policy
+# aborts with NumericalDriftError, well short of the preset's 2,000 rounds
+RECOVERY_CELLS = (
+    ("stepdiag_sweep", "ekucb_mu10", 1),
+    ("chessboard_sweep", "cbkb", 2),
+    ("stepdiag_sweep", "cbbkb_c10", 2),
+)
+
+# (rounds, rebuilds, resamples, rejected duplicates) of each recovery cell
+RECOVERY_COUNTS = [(103, 13, 0, 18), (26, 0, 25, 10), (107, 0, 1, 39)]
+
+RECOVERY_DIGESTS = {
+    "dictionary_cbbkb_c10_2.csv": "51fdd970b7ded257f01e07c63e19392d4646bc918b30ee5d79da325522a42003",
+    "dictionary_cbkb_2.csv": "77a1acdbbf3b1fc4adbbc55bb2ff65aab230609a58506b772bcab87b26f30a06",
+    "dictionary_ekucb_mu10_1.csv": "c4373a9bdc2d02a2f8518ad4c0140e79661023c5d43d62164be2eb773bbe5c31",
+    "regret.svg": "32979ba379ae6d2c6c25ffad2cbf0d130b899842430f7aef6d5e6315255706e8",
+    "summary.csv": "c581181dff9323ab7aa9d61bcaaea9c1c8e2ca1f629bf484de15ce8393f0388b",
+    "trace_cbbkb_c10_2.csv": "b8de27b97b678e9bbb878ce750bbd178399df93143fda161f3065c6a850883ca",
+    "trace_cbkb_2.csv": "5b5960378589ceb49dd21a05c3ef3a6e6ca0412e9235309014c22928be5773e2",
+    "trace_ekucb_mu10_1.csv": "835ec4e4a8020b888efd6565d5f7f0f409283c06df6abd22d9f8465402227320",
 }
 
 
@@ -112,3 +138,23 @@ def test_emitted_files_keep_their_bytes(tmp_path):
     emit_outputs(cells, out)
     write_diagnostics(configs[0], out)
     assert digests(out) == DIGESTS
+
+
+def recovery_configs():
+    configs = []
+    for preset, label, seed in RECOVERY_CELLS:
+        text = resources.files("bandit_lab").joinpath("presets", f"{preset}.cfg").read_text()
+        config = next(c for c in expand_variants(*parse_config_text(text)) if c.label == label)
+        configs.append(replace(config, seeds=(seed,), dump_dictionary=True))
+    return configs
+
+
+def test_recovery_paths_keep_their_bytes(tmp_path):
+    cells = run_sweep(recovery_configs(), parallelism=1)
+    records = [cell.records[0] for cell in cells]
+    counts = [(r.rounds, r.rebuilds, r.resamples, r.rejected_duplicates) for r in records]
+    assert counts == RECOVERY_COUNTS
+    assert all(r.error.startswith("NumericalDriftError") for r in records)
+    out = str(tmp_path / "out")
+    emit_outputs(cells, out)
+    assert digests(out) == RECOVERY_DIGESTS

@@ -119,13 +119,6 @@ def test_dictionary_sizes_track_projected_policy():
     assert index == 0 and step == 0 and prob == 1.0
 
 
-def test_collect_states():
-    config = small_config()
-    record = run_single(config, 0, collect_states=True)
-    assert len(record.states) == config.horizon
-    assert record.states[0].context.size == config.env.context_dim
-
-
 def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
     # one singular rank-one update, at the tenth round, forces one rebuild
     calls = []

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bandit_lab.dictionary import KorsParams
+from bandit_lab import dictionary, policies
+from bandit_lab.dictionary import Dictionary, KorsParams
 from bandit_lab.kernels import KernelSpec, StatePoint, gram, gram_packed
 from bandit_lab.linalg import SpdInverse
 from bandit_lab.policies import (
@@ -187,6 +188,39 @@ def test_projected_incremental_state_matches_dense_rebuild():
     assert rel_drift(policy.gamma_vec, want["gamma_vec"]) < 1e-6
     assert rel_drift(policy.dictionary.kzz_inverse.matrix, want["kzz_inverse"]) < 1e-6
     assert rel_drift(policy.cross, want["cross"]) < 1e-6
+
+
+def test_projected_update_reads_each_state_once(monkeypatch):
+    # the sampler scores and admits the state from the K_Z(s) and k(s, s)
+    # that the update computed for itself, so neither is computed twice
+    calls = {"cross_vector": 0, "evaluate": 0}
+    cross_vector, evaluate = Dictionary.cross_vector, policies.evaluate
+
+    def counted_cross_vector(self, *args):
+        calls["cross_vector"] += 1
+        return cross_vector(self, *args)
+
+    def counted_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(Dictionary, "cross_vector", counted_cross_vector)
+    monkeypatch.setattr(policies, "evaluate", counted_evaluate)
+    monkeypatch.setattr(dictionary, "evaluate", counted_evaluate)
+    rng = np.random.default_rng(12)
+    policy = make_projected(gamma=2.0, seed=13)
+    admitted = []
+    for t in range(40):
+        before, size = dict(calls), policy.dictionary.size
+        policy.update(random_state(rng), rng.normal())
+        per_update = {k: calls[k] - before[k] for k in calls}
+        if t == 0:
+            # the bootstrap seeds an empty dictionary: no K_Z(s) to compute
+            assert per_update == {"cross_vector": 0, "evaluate": 1}
+        else:
+            assert per_update == {"cross_vector": 1, "evaluate": 1}
+            admitted.append(policy.dictionary.size > size)
+    assert any(admitted) and not all(admitted)
 
 
 def test_refactor_is_a_no_op_on_healthy_state():
