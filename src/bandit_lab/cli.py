@@ -35,18 +35,22 @@ def _load_config_text(name: str) -> str:
     raise FileNotFoundError(f"no config file or preset named {name!r}")
 
 
+# dedicated flag -> the config key it overrides
+_FLAGS = {
+    "--policy": "policy.name",
+    "--lambda": "policy.lambda",
+    "--mu": "policy.mu",
+    "--T": "run.T",
+    "--seeds": "run.seeds",
+    "--env": "env.family",
+    "--out": "run.output_dir",
+}
+
+
 def _flag_overrides(args: argparse.Namespace) -> list[str]:
     tokens = list(args.set or [])
-    direct = {
-        "policy.name": args.policy,
-        "policy.lambda": args.lam,
-        "policy.mu": args.mu,
-        "run.T": args.horizon,
-        "run.seeds": args.seeds,
-        "env.family": args.env,
-        "run.output_dir": args.out,
-    }
-    for key, value in direct.items():
+    for key in _FLAGS.values():
+        value = getattr(args, key)
         if value is not None:
             tokens.append(f"{key}={value}")
     if args.dump_dictionary:
@@ -68,13 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="config file or preset name")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE")
-        cmd.add_argument("--policy", help="override policy.name")
-        cmd.add_argument("--lambda", dest="lam", help="override policy.lambda")
-        cmd.add_argument("--mu", help="override policy.mu")
-        cmd.add_argument("--T", dest="horizon", help="override run.T")
-        cmd.add_argument("--seeds", help="override run.seeds (comma separated)")
-        cmd.add_argument("--env", help="override env.family")
-        cmd.add_argument("--out", help="override run.output_dir")
+        for flag, key in _FLAGS.items():
+            cmd.add_argument(flag, dest=key, help=f"override {key}")
         cmd.add_argument(
             "--dump-dictionary",
             action="store_true",

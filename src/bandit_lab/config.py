@@ -5,6 +5,11 @@ files may add ``variant.<label> = key=value key=value ...`` lines; each
 variant is the base config with those overrides applied.  The same
 ``key=value`` tokens are accepted from the command line, so a file plus flags
 always composes into one plain dictionary before being interpreted.
+
+Each key is declared once, in ``_KEYS``, with the dataclass field it sets and
+its parser; that table is also the list of known keys.  Defaults live only on
+the dataclasses (``EnvSpec``, ``KernelSpec``, ``ExplorationSchedule``,
+``RunConfig``), which also check the ranges.
 """
 
 from __future__ import annotations
@@ -45,8 +50,27 @@ class RunConfig:
             raise ValueError("run.T must be at least 1")
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("policy.lambda and policy.mu must be positive")
+        if self.epsilon <= 0:
+            raise ValueError("policy.epsilon must be positive")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("policy.gamma must be positive")
+        if self.accumulation_threshold < 1:
+            raise ValueError("policy.accumulation_threshold must be at least 1")
+        if not self.seeds:
+            raise ValueError("run.seeds must list at least one seed")
         if not self.label:
             object.__setattr__(self, "label", self.policy)
+
+
+def _tokens(tokens: list[str], what: str) -> dict[str, str]:
+    """``key=value`` tokens as a map; ``what`` names the source in errors."""
+    out = {}
+    for token in tokens:
+        if "=" not in token:
+            raise ValueError(f"{what} {token!r} is not key=value")
+        key, value = token.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
 
 
 def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
@@ -66,12 +90,7 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, st
             label = key[len("variant.") :]
             if not label:
                 raise ValueError(f"line {lineno}: variant needs a label")
-            overrides = {}
-            for token in value.split():
-                if "=" not in token:
-                    raise ValueError(f"line {lineno}: variant tokens are key=value")
-                k, v = token.split("=", 1)
-                overrides[k.strip()] = v.strip()
+            overrides = _tokens(value.split(), f"line {lineno}: variant token")
             overrides.setdefault("run.label", label)
             variants[label] = overrides
         else:
@@ -79,143 +98,106 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, st
     return base, variants
 
 
-def _as_float(kv: dict[str, str], key: str, default: float | None) -> float | None:
-    if key not in kv:
-        return default
-    value = float(kv[key])
+def _real(text: str) -> float:
+    value = float(text)
     if math.isnan(value):
         # every comparison with NaN is false, so it would pass each range check
-        raise ValueError(f"{key}: expected a number, got {kv[key]!r}")
+        raise ValueError(f"expected a number, got {text!r}")
     return value
 
 
-def _as_int(kv: dict[str, str], key: str, default: int) -> int:
-    return int(kv[key]) if key in kv else default
-
-def _as_bool(kv: dict[str, str], key: str, default: bool) -> bool:
-    if key not in kv:
-        return default
-    value = kv[key].lower()
+def _bool(text: str) -> bool:
+    value = text.lower()
     if value in ("true", "1", "yes", "on"):
         return True
     if value in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"{key}: expected a boolean, got {kv[key]!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_KNOWN_KEYS = frozenset(
-    {
-        "env.family",
-        "env.context_dim",
-        "env.action_grid",
-        "env.noise_sigma",
-        "env.seed",
-        "env.chessboard_cells",
-        "env.band_width",
-        "kernel.family",
-        "kernel.bandwidth",
-        "kernel.kappa",
-        "kernel.context_family",
-        "kernel.context_bandwidth",
-        "kernel.action_family",
-        "kernel.action_bandwidth",
-        "policy.name",
-        "policy.lambda",
-        "policy.mu",
-        "policy.gamma",
-        "policy.epsilon",
-        "policy.beta_mode",
-        "policy.beta",
-        "policy.norm_bound",
-        "policy.delta",
-        "policy.accumulation_threshold",
-        "run.T",
-        "run.seeds",
-        "run.output_dir",
-        "run.label",
-        "run.dump_dictionary",
-    }
-)
+def _seeds(text: str) -> tuple[int, ...]:
+    return tuple(int(token) for token in text.split(",") if token.strip())
+
+
+# key -> (constructor group, field, parser).  Groups: ``env`` (EnvSpec),
+# ``kernel`` (KernelSpec), ``context``/``action`` (a tensor factor's
+# KernelSpec), ``schedule`` (ExplorationSchedule) and ``run`` (RunConfig).
+_KEYS = {
+    "env.family": ("env", "family", str),
+    "env.context_dim": ("env", "context_dim", int),
+    "env.action_grid": ("env", "action_grid", int),
+    "env.noise_sigma": ("env", "noise_sigma", _real),
+    "env.seed": ("env", "seed", int),
+    "env.chessboard_cells": ("env", "chessboard_cells", int),
+    "env.band_width": ("env", "band_width", _real),
+    "kernel.family": ("kernel", "family", str),
+    "kernel.bandwidth": ("kernel", "bandwidth", _real),
+    "kernel.kappa": ("kernel", "kappa", _real),
+    "kernel.context_family": ("context", "family", str),
+    "kernel.context_bandwidth": ("context", "bandwidth", _real),
+    "kernel.action_family": ("action", "family", str),
+    "kernel.action_bandwidth": ("action", "bandwidth", _real),
+    "policy.name": ("run", "policy", str),
+    "policy.lambda": ("run", "lam", _real),
+    "policy.mu": ("run", "mu", _real),
+    "policy.gamma": ("run", "gamma", _real),
+    "policy.epsilon": ("run", "epsilon", _real),
+    "policy.beta_mode": ("schedule", "mode", str),
+    "policy.beta": ("schedule", "beta", _real),
+    "policy.norm_bound": ("schedule", "norm_bound", _real),
+    "policy.delta": ("schedule", "delta", _real),
+    "policy.accumulation_threshold": ("run", "accumulation_threshold", _real),
+    "run.T": ("run", "horizon", int),
+    "run.seeds": ("run", "seeds", _seeds),
+    "run.output_dir": ("run", "output_dir", str),
+    "run.label": ("run", "label", str),
+    "run.dump_dictionary": ("run", "dump_dictionary", _bool),
+}
 
 
 def build_run_config(kv: dict[str, str]) -> RunConfig:
-    """Interpret a flat key map; unknown keys are errors, not typos to skip."""
-    for key in kv:
-        if key not in _KNOWN_KEYS:
+    """Interpret a flat key map; unknown keys are errors, not typos to skip.
+
+    Only the keys present are parsed; every other field keeps its dataclass
+    default.  The environment family, each kernel family and the policy have
+    none, so they default here.
+    """
+    groups = {"env": {"family": "bump"}, "schedule": {}, "run": {"policy": "kucb"}}
+    groups.update({part: {"family": "gaussian"} for part in ("kernel", "context", "action")})
+    for key, text in kv.items():
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    env = EnvSpec(
-        family=kv.get("env.family", "bump"),
-        context_dim=_as_int(kv, "env.context_dim", 0),
-        action_grid=_as_int(kv, "env.action_grid", 50),
-        noise_sigma=_as_float(kv, "env.noise_sigma", 0.1),
-        seed=_as_int(kv, "env.seed", 0),
-        chessboard_cells=_as_int(kv, "env.chessboard_cells", 4),
-        band_width=_as_float(kv, "env.band_width", 0.1),
-    )
-    family = kv.get("kernel.family", "gaussian")
-    kappa = _as_float(kv, "kernel.kappa", 0.0)
-    if family == "linear" and kappa == 0.0:
+        group, name, parse = _KEYS[key]
+        try:
+            groups[group][name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    env = EnvSpec(**groups["env"])
+    kernel = groups["kernel"]
+    if kernel["family"] == "linear" and not kernel.get("kappa"):
         # joint states live in the unit cube, so sqrt(dim) bounds the feature norm
-        kappa = math.sqrt(env.context_dim + 1)
-    if family == "tensor":
-        kernel = KernelSpec(
-            family="tensor",
-            kappa=kappa,
-            context_kernel=_factor_kernel(kv, "context", env.context_dim),
-            action_kernel=_factor_kernel(kv, "action", 1),
-        )
-    else:
-        kernel = KernelSpec(
-            family=family,
-            bandwidth=_as_float(kv, "kernel.bandwidth", 0.2),
-            kappa=kappa,
-        )
-    schedule = ExplorationSchedule(
-        mode=kv.get("policy.beta_mode", "fixed"),
-        beta=_as_float(kv, "policy.beta", 1.0),
-        norm_bound=_as_float(kv, "policy.norm_bound", 1.0),
-        delta=_as_float(kv, "policy.delta", 0.05),
-    )
-    seeds = tuple(
-        int(token) for token in kv.get("run.seeds", "0").split(",") if token.strip()
-    )
-    if not seeds:
-        raise ValueError("run.seeds must list at least one seed")
+        kernel["kappa"] = math.sqrt(env.context_dim + 1)
+    if kernel["family"] == "tensor":
+        kernel.pop("bandwidth", None)
+        kernel["context_kernel"] = _factor_kernel(groups["context"], env.context_dim)
+        kernel["action_kernel"] = _factor_kernel(groups["action"], 1)
     return RunConfig(
         env=env,
-        kernel=kernel,
-        policy=kv.get("policy.name", "kucb"),
-        lam=_as_float(kv, "policy.lambda", 1.0),
-        mu=_as_float(kv, "policy.mu", 1.0),
-        gamma=_as_float(kv, "policy.gamma", None),
-        epsilon=_as_float(kv, "policy.epsilon", 0.5),
-        schedule=schedule,
-        accumulation_threshold=_as_float(kv, "policy.accumulation_threshold", 10.0),
-        horizon=_as_int(kv, "run.T", 100),
-        seeds=seeds,
-        output_dir=kv.get("run.output_dir", "out"),
-        label=kv.get("run.label", ""),
-        dump_dictionary=_as_bool(kv, "run.dump_dictionary", False),
+        kernel=KernelSpec(**kernel),
+        schedule=ExplorationSchedule(**groups["schedule"]),
+        **groups["run"],
     )
 
 
-def _factor_kernel(kv: dict[str, str], part: str, dim: int) -> KernelSpec:
-    family = kv.get(f"kernel.{part}_family", "gaussian")
-    if family == "linear":
+def _factor_kernel(fields: dict, dim: int) -> KernelSpec:
+    if fields["family"] == "linear":
+        # a linear factor has no bandwidth, and its inputs lie in [0, 1]^dim
         return KernelSpec(family="linear", kappa=math.sqrt(dim))
-    return KernelSpec(
-        family="gaussian", bandwidth=_as_float(kv, f"kernel.{part}_bandwidth", 0.2)
-    )
+    return KernelSpec(**fields)
 
 
 def apply_overrides(kv: dict[str, str], tokens: list[str]) -> dict[str, str]:
-    out = dict(kv)
-    for token in tokens:
-        if "=" not in token:
-            raise ValueError(f"override {token!r} is not key=value")
-        key, value = token.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return {**kv, **_tokens(tokens, "override")}
 
 
 def expand_variants(

@@ -71,12 +71,12 @@ class KorsParams:
             raise ValueError("gamma must be positive")
 
     @staticmethod
-    def theory_default(horizon: int, mu: float, epsilon: float = 0.5) -> "KorsParams":
+    def theory_default(horizon: int, mu: float) -> "KorsParams":
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         delta = 1.0 / horizon**2
         gamma = 12.0 * math.log(horizon / delta)
-        return KorsParams(mu=mu, epsilon=epsilon, gamma=gamma, delta=delta)
+        return KorsParams(mu=mu, gamma=gamma, delta=delta)
 
 
 @dataclass

@@ -106,7 +106,9 @@ class ExplorationSchedule:
     ``fixed`` uses the constant ``beta`` (the benchmark default).
     ``theoretical`` evaluates the analysis radius each round, plugging in a
     cheap running proxy for the effective dimension: the dictionary size for
-    projected policies, the history length for the exact one.
+    projected policies, the history length for the exact one.  The fields are
+    the ``policy.beta_mode``, ``policy.beta``, ``policy.norm_bound`` and
+    ``policy.delta`` config keys, which the range errors name.
     """
 
     mode: str = "fixed"
@@ -117,6 +119,13 @@ class ExplorationSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "theoretical"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
+        # a negative width would rank actions by a lower confidence bound
+        if self.beta < 0:
+            raise ValueError("policy.beta must be nonnegative")
+        if self.norm_bound < 0:
+            raise ValueError("policy.norm_bound must be nonnegative")
+        if not 0 < self.delta <= 1:
+            raise ValueError("policy.delta must lie in (0, 1]")
 
     def value(
         self, kind: str, t: int, lam: float, mu: float, kappa: float, d_eff_proxy: float

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from bandit_lab.cli import main
+from bandit_lab.policies import NumericalDriftError, ResamplingKernelUcb
 
 BASE = """
 env.family = bump
@@ -118,7 +119,12 @@ def test_bad_key_is_a_json_error(config_file, capsys):
     assert "policy.lamda" in payload["error"]
 
 
-def test_failed_run_exits_nonzero(config_file, tmp_path, capsys):
+def test_failed_run_exits_nonzero(config_file, tmp_path, capsys, monkeypatch):
+    def fail(self, s, reward):
+        raise NumericalDriftError("injected")
+
+    # the run ends inside its loop, as a drifting policy's would
+    monkeypatch.setattr(ResamplingKernelUcb, "update", fail)
     out = str(tmp_path / "out")
     code = main(
         [
@@ -126,7 +132,6 @@ def test_failed_run_exits_nonzero(config_file, tmp_path, capsys):
             "--config", config_file,
             "--out", out,
             "--policy", "cbbkb",
-            "--set", "policy.accumulation_threshold=0.1",
         ]
     )
     assert code == 1

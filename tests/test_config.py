@@ -1,15 +1,20 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from bandit_lab.config import (
+    _KEYS,
+    RunConfig,
     apply_overrides,
     build_run_config,
     expand_variants,
     parse_config_text,
 )
+from bandit_lab.environments import EnvSpec
+from bandit_lab.kernels import KernelSpec
 
 SAMPLE = """
 # benchmark base
@@ -55,6 +60,56 @@ def test_build_run_config_defaults():
     assert config.seeds == (0,)
     assert config.gamma is None
     assert config.label == "kucb"  # defaults to the policy name
+    # every other default comes from the dataclasses themselves
+    assert config == RunConfig(
+        env=EnvSpec("bump"), kernel=KernelSpec("gaussian"), policy="kucb"
+    )
+
+
+# key -> (a valid non-default value, keys that make the value take effect)
+NON_DEFAULT = {
+    "env.family": ("chessboard", {}),
+    "env.context_dim": ("3", {}),
+    "env.action_grid": ("7", {}),
+    "env.noise_sigma": ("0.3", {}),
+    "env.seed": ("4", {}),
+    "env.chessboard_cells": ("3", {}),
+    "env.band_width": ("0.2", {}),
+    "kernel.family": ("linear", {}),
+    "kernel.bandwidth": ("0.7", {}),
+    "kernel.kappa": ("3", {"kernel.family": "linear"}),
+    "kernel.context_family": ("linear", {"kernel.family": "tensor"}),
+    "kernel.context_bandwidth": ("0.3", {"kernel.family": "tensor"}),
+    "kernel.action_family": ("linear", {"kernel.family": "tensor"}),
+    "kernel.action_bandwidth": ("0.3", {"kernel.family": "tensor"}),
+    "policy.name": ("ekucb", {}),
+    "policy.lambda": ("2", {}),
+    "policy.mu": ("2", {}),
+    "policy.gamma": ("3", {}),
+    "policy.epsilon": ("0.25", {}),
+    "policy.beta_mode": ("theoretical", {}),
+    "policy.beta": ("2", {}),
+    "policy.norm_bound": ("2", {}),
+    "policy.delta": ("0.1", {}),
+    "policy.accumulation_threshold": ("5", {}),
+    "run.T": ("7", {}),
+    "run.seeds": ("1,2", {}),
+    "run.output_dir": ("elsewhere", {}),
+    "run.label": ("probe", {}),
+    "run.dump_dictionary": ("true", {}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_every_key_reaches_the_config(key):
+    value, context = NON_DEFAULT[key]
+    assert build_run_config({**context, key: value}) != build_run_config(context)
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = set(re.findall(r"^([a-z_]+\.[A-Za-z_]+) ", readme, re.MULTILINE))
+    assert set(_KEYS) <= listed
 
 
 def test_build_run_config_full():
@@ -107,6 +162,48 @@ def test_float_keys_reject_nan(key):
         kv["kernel.family"] = "tensor"  # the factor bandwidths are read only there
     with pytest.raises(ValueError, match=re.escape(key)):
         build_run_config(kv)
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("run.T", "ten"),
+        ("env.action_grid", "1.5"),
+        ("env.seed", ""),
+        ("run.dump_dictionary", "maybe"),
+        ("run.seeds", "1,x"),
+        ("run.seeds", ","),
+    ],
+)
+def test_parse_errors_name_their_key(key, text):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        build_run_config({key: text})
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("policy.epsilon", "0"),
+        ("policy.gamma", "0"),
+        ("policy.gamma", "-1"),
+        ("policy.accumulation_threshold", "0.5"),
+        ("policy.beta", "-3"),
+        ("policy.norm_bound", "-1"),
+        ("policy.delta", "0"),
+        ("policy.delta", "1.5"),
+    ],
+)
+def test_out_of_range_values_are_rejected_at_build_time(key, text):
+    # each of these used to build, then fail in every run or run silently wrong
+    with pytest.raises(ValueError, match=re.escape(key)):
+        build_run_config({"policy.name": "cbbkb", key: text})
+
+
+@pytest.mark.parametrize("part", ["context", "action"])
+@pytest.mark.parametrize("family", ["linaer", "tensor"])
+def test_tensor_factor_families_are_checked(part, family):
+    with pytest.raises(ValueError):
+        build_run_config({"kernel.family": "tensor", f"kernel.{part}_family": family})
 
 
 @pytest.mark.parametrize("text", ["inf", "Infinity"])

@@ -153,11 +153,16 @@ def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
     assert cbkb.rejected_duplicates == sum(dropped) > max(dropped)
 
 
-def test_run_single_marks_failures():
-    # an accumulation threshold below 1 is rejected at construction time
-    config = replace(
-        small_config(**{"policy.name": "cbbkb"}), accumulation_threshold=0.2
-    )
+def test_run_single_marks_failures(monkeypatch):
+    # a policy that cannot be constructed fails before the first round
+    config = small_config(**{"policy.name": "cbbkb"})
+
+    def build_or_fail(cfg, seed):
+        if cfg.policy == "cbbkb":
+            raise ValueError("policy construction failed")
+        return build_policy(cfg, seed)
+
+    monkeypatch.setattr("bandit_lab.harness.build_policy", build_or_fail)
     with pytest.raises(ValueError):
         run_single(config, 0)
     cells = run_sweep([config, small_config()], parallelism=1)
