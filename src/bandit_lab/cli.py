@@ -9,7 +9,8 @@ Three verbs:
 ``--config`` takes a path or the name of a shipped preset (``bump_sweep``,
 ``chessboard_sweep``, ``stepdiag_sweep``).  Any key can be overridden with
 ``--set section.key=value``; the common ones have dedicated flags.  Failures
-print one machine-readable JSON line to stderr and exit nonzero.
+print one machine-readable JSON line to stderr and exit nonzero; so does a
+``run`` or ``sweep`` in which any run aborted, after writing its outputs.
 """
 
 from __future__ import annotations
@@ -89,25 +90,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         base, variants = parse_config_text(_load_config_text(args.config))
         base = apply_overrides(base, _flag_overrides(args))
-        if args.command == "run":
-            config = build_run_config(base)
-            cells = run_sweep([config], parallelism=None)
-            written = emit_outputs(cells, config.output_dir)
-            failures = [r for c in cells for r in c.records if r.error is not None]
-            for path in written:
-                print(path)
-            if failures:
-                raise RuntimeError(
-                    f"{len(failures)} run(s) aborted; see summary.csv"
-                )
-        elif args.command == "sweep":
-            configs = expand_variants(base, variants)
-            cells = run_sweep(configs, parallelism=args.parallelism)
-            for path in emit_outputs(cells, configs[0].output_dir):
-                print(path)
-        else:
+        if args.command == "diag":
             config = build_run_config(base)
             print(write_diagnostics(config, config.output_dir))
+        else:
+            if args.command == "sweep":
+                configs = expand_variants(base, variants)
+            else:
+                configs = [build_run_config(base)]
+            # only sweep has --parallelism; a run keeps run_sweep's default
+            cells = run_sweep(configs, parallelism=getattr(args, "parallelism", None))
+            for path in emit_outputs(cells, configs[0].output_dir):
+                print(path)
+            failures = sum(r.error is not None for c in cells for r in c.records)
+            if failures:
+                raise RuntimeError(f"{failures} run(s) aborted; see summary.csv")
     except Exception as exc:  # noqa: BLE001 - single reporting point
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 1

@@ -179,8 +179,8 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         kernel["kappa"] = math.sqrt(env.context_dim + 1)
     if kernel["family"] == "tensor":
         kernel.pop("bandwidth", None)
-        kernel["context_kernel"] = _factor_kernel(groups["context"], env.context_dim)
-        kernel["action_kernel"] = _factor_kernel(groups["action"], 1)
+        for part, dim in (("context", env.context_dim), ("action", 1)):
+            kernel[f"{part}_kernel"] = _factor_kernel(part, groups[part], dim)
     return RunConfig(
         env=env,
         kernel=KernelSpec(**kernel),
@@ -189,11 +189,20 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     )
 
 
-def _factor_kernel(fields: dict, dim: int) -> KernelSpec:
-    if fields["family"] == "linear":
-        # a linear factor has no bandwidth, and its inputs lie in [0, 1]^dim
-        return KernelSpec(family="linear", kappa=math.sqrt(dim))
-    return KernelSpec(**fields)
+def _factor_kernel(part: str, fields: dict, dim: int) -> KernelSpec:
+    """One factor of a tensor kernel; its errors name the ``kernel.<part>_*`` key."""
+    family = fields["family"]
+    # a gaussian factor can only fail on its bandwidth, any other on its family
+    key = f"kernel.{part}_bandwidth" if family == "gaussian" else f"kernel.{part}_family"
+    try:
+        if family == "tensor":
+            raise ValueError("tensor factors cannot be tensors")
+        if family == "linear":
+            # a linear factor has no bandwidth, and its inputs lie in [0, 1]^dim
+            return KernelSpec(family="linear", kappa=math.sqrt(dim))
+        return KernelSpec(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def apply_overrides(kv: dict[str, str], tokens: list[str]) -> dict[str, str]:

@@ -175,9 +175,7 @@ def coverage_test(config: CoverageConfig) -> float:
         dim = phis.shape[1]
         # eigenvalues of the t x t gram and of the d x d scatter agree up to
         # zeros, so the horizon effective dimension comes from the small one
-        scatter = phis.T @ phis
-        eigs = np.maximum(np.linalg.eigvalsh(scatter), 0.0)
-        d_eff = float(np.sum(eigs / (eigs + config.lam)))
+        d_eff = effective_dimension(phis.T @ phis, config.lam)
         theta = env.theta_star
         norm_bound = float(np.linalg.norm(theta))
         ok = True

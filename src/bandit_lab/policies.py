@@ -46,6 +46,7 @@ from .linalg import (
     LinalgError,
     SpdInverse,
     dense_spd_inverse,
+    schur_extend,
     schur_extend_jittered,
     sherman_morrison_update,
 )
@@ -185,10 +186,6 @@ class _KernelPolicy:
             return np.zeros((0, 0))
         return self._history.view
 
-    def score_one(self, s: StatePoint) -> tuple[float, float]:
-        means, var = self.scores(s.context, s.action[None, :])
-        return float(means[0]), float(var[0])
-
     def _row(self, s: StatePoint) -> np.ndarray:
         """The joint row of s; the first call sizes the history buffer."""
         row = s.joint
@@ -249,10 +246,11 @@ class ExactKernelUcb(_KernelPolicy):
 class ProjectedKernelUcb(_KernelPolicy):
     """Kernel UCB projected on a leverage-score-sampled Nystrom dictionary.
 
-    The first round is a bootstrap: an action is drawn uniformly and the
-    observed state seeds both the history and the dictionary.  From then on
-    the maintained inverse Lam is rank-one-updated every round and extended by
-    a bordering step whenever the sampler admits a new anchor.
+    The first action is drawn uniformly.  Every observed state then
+    rank-one-updates the maintained inverse Lam, and a bordering step extends
+    it whenever the state becomes an anchor.  The first state always does: it
+    seeds the empty dictionary through those same two steps, on empty
+    matrices, so no round has formulas of its own.
     """
 
     def __init__(
@@ -268,7 +266,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         self.kors = kors
         self.rng = policy_rng
         self.dictionary = Dictionary(mu=kors.mu, rng=kors_rng)
-        self._cross: GrowableMatrix | None = None  # rows are states: K_SZ
+        self._cross = GrowableMatrix(np.zeros((0, 0)))  # rows are states: K_SZ
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
         # dense rebuilds by the reason that triggered them
@@ -288,8 +286,6 @@ class ProjectedKernelUcb(_KernelPolicy):
     @property
     def cross(self) -> np.ndarray:
         """K_ZS, anchors by states."""
-        if self._cross is None:
-            return np.zeros((0, 0))
         return self._cross.view.T
 
     def scores(
@@ -329,13 +325,10 @@ class ProjectedKernelUcb(_KernelPolicy):
         return int(np.argmax(means + beta * np.sqrt(var)))
 
     def _bootstrap(self, row: np.ndarray, k_self: float, reward: float) -> None:
-        self._store(row, reward)
+        """Admit the first state without a coin, so the sampler stream is unchanged."""
+        self._append_state(row, np.zeros(0), reward)
         self.dictionary.seed(row, k_self)
-        self._cross = GrowableMatrix(np.array([[k_self]]))
-        self.lambda_inverse = SpdInverse(
-            np.array([[1.0 / (k_self * k_self + self.lam * k_self)]])
-        )
-        self.gamma_vec = np.array([k_self * reward])
+        self._admit_anchor(row, np.zeros(0), k_self)
 
     def _append_state(self, row: np.ndarray, kz: np.ndarray, reward: float) -> None:
         """No-add branch shared with the resampling baseline."""
@@ -356,7 +349,9 @@ class ProjectedKernelUcb(_KernelPolicy):
         Near dictionary saturation the drifted Lam estimate can make the
         bordering step numerically indefinite even though the true matrix is
         positive definite; that is recoverable, so it falls back to a dense
-        rebuild instead of failing the run.
+        rebuild instead of failing the run.  The rebuild is the only recovery:
+        on the shipped presets a retry at c + jitter rescued none of the
+        admissions whose first bordering step failed.
         """
         ks_z = gram_packed(
             self.kernel, self.history, row[None, :], context_dim=self._context_dim
@@ -366,9 +361,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         self.gamma_vec = np.append(self.gamma_vec, float(ks_z @ self.rewards))
         self._cross.append_col(ks_z)
         try:
-            self.lambda_inverse = schur_extend_jittered(
-                self.lambda_inverse, b, c, self._jitter
-            )
+            self.lambda_inverse = schur_extend(self.lambda_inverse, b, c)
         except LinalgError:
             self.rebuilds["indefinite_admission"] += 1
             self.refactor()

@@ -119,7 +119,8 @@ def test_bad_key_is_a_json_error(config_file, capsys):
     assert "policy.lamda" in payload["error"]
 
 
-def test_failed_run_exits_nonzero(config_file, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_failed_run_exits_nonzero(verb, config_file, tmp_path, capsys, monkeypatch):
     def fail(self, s, reward):
         raise NumericalDriftError("injected")
 
@@ -128,7 +129,7 @@ def test_failed_run_exits_nonzero(config_file, tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     code = main(
         [
-            "run",
+            verb,
             "--config", config_file,
             "--out", out,
             "--policy", "cbbkb",

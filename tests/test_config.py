@@ -202,8 +202,17 @@ def test_out_of_range_values_are_rejected_at_build_time(key, text):
 @pytest.mark.parametrize("part", ["context", "action"])
 @pytest.mark.parametrize("family", ["linaer", "tensor"])
 def test_tensor_factor_families_are_checked(part, family):
-    with pytest.raises(ValueError):
+    cause = {
+        "linaer": "unknown kernel family 'linaer'",
+        "tensor": "tensor factors cannot be tensors",
+    }
+    with pytest.raises(ValueError, match=re.escape(f"kernel.{part}_family: {cause[family]}")):
         build_run_config({"kernel.family": "tensor", f"kernel.{part}_family": family})
+
+
+def test_tensor_factor_bandwidth_errors_name_their_key():
+    with pytest.raises(ValueError, match=re.escape("kernel.action_bandwidth: gaussian")):
+        build_run_config({"kernel.family": "tensor", "kernel.action_bandwidth": "-1"})
 
 
 @pytest.mark.parametrize("text", ["inf", "Infinity"])

@@ -6,7 +6,7 @@ import pytest
 from bandit_lab import dictionary, policies
 from bandit_lab.dictionary import Dictionary, KorsParams
 from bandit_lab.kernels import KernelSpec, StatePoint, gram, gram_packed
-from bandit_lab.linalg import SpdInverse
+from bandit_lab.linalg import SINGULAR_TOL, SpdInverse
 from bandit_lab.policies import (
     ExactKernelUcb,
     ExplorationSchedule,
@@ -54,7 +54,7 @@ def test_exact_single_observation_hand_values():
     policy = ExactKernelUcb(GAUSS, lam=1.0, schedule=FIXED)
     s = StatePoint(np.array([0.3]), np.array([0.7]))
     policy.update(s, 1.0)
-    mean, var = policy.score_one(s)
+    mean, var = policy.scores(s.context, s.action[None, :])
     assert mean == pytest.approx(0.5, abs=1e-12)
     assert var == pytest.approx(0.5, abs=1e-12)
 
@@ -117,7 +117,7 @@ def test_projected_bootstrap_hand_values():
     policy.update(s, 1.0)
     assert policy.lambda_inverse.matrix == pytest.approx(np.array([[0.5]]))
     assert policy.gamma_vec == pytest.approx(np.array([1.0]))
-    mean, var = policy.score_one(s)
+    mean, var = policy.scores(s.context, s.action[None, :])
     assert mean == pytest.approx(0.5, abs=1e-12)
     assert var == pytest.approx(0.5, abs=1e-12)
 
@@ -259,6 +259,38 @@ def test_indefinite_admission_recovers_via_dense_rebuild():
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
 
 
+def test_admission_in_the_jitter_window_rebuilds(monkeypatch):
+    # a drifted Lam puts the bordering step's Schur complement just under the
+    # singular tolerance, where a retry at c + jitter would accept the border;
+    # the admission must rebuild instead
+    rng = np.random.default_rng(8)
+    policy = make_projected(gamma=math.inf, seed=3)
+    for _ in range(6):
+        policy.update(random_state(rng), rng.normal())
+    kors_step = policies.kors_step
+
+    def admit_then_drift(d, t, row, kz, k_self, params):
+        admitted = kors_step(d, t, row, kz, k_self, params)
+        # the border that _admit_anchor forms next
+        ks_z = gram_packed(policy.kernel, policy.history, row[None, :])[:, 0]
+        b = policy.cross @ ks_z + policy.lam * kz
+        c = float(ks_z @ ks_z) + policy.lam * k_self
+        lam_mat = policy.lambda_inverse.matrix
+        drifted = lam_mat * ((c - 5e-13) / float(b @ lam_mat @ b))
+        schur = c - float(b @ (drifted @ b))
+        assert 0 < schur < SINGULAR_TOL <= schur + policy._jitter
+        policy.lambda_inverse = SpdInverse(drifted)
+        return admitted
+
+    monkeypatch.setattr(policies, "kors_step", admit_then_drift)
+    policy.update(random_state(rng), 0.5)
+    assert policy.dictionary.size == 7
+    assert policy.rebuilds == {"singular_update": 0, "indefinite_admission": 1}
+    want = dense_projected_oracle(policy)
+    assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
+    assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
+
+
 def test_singular_rank_one_update_recovers_via_dense_rebuild():
     rng = np.random.default_rng(9)
     policy = make_projected(gamma=1e-12, seed=4)  # no further admissions
@@ -310,14 +342,14 @@ def test_resampling_never_fires_at_infinite_threshold():
 @pytest.mark.parametrize("threshold", [math.inf, 4.0])
 def test_accumulated_variance_sums_the_scored_variances(threshold):
     # update takes the chosen state's variance from its one K_Z(s) column; it
-    # must be, bit for bit, what score_one reports just before the update
+    # must be, bit for bit, what scores reports just before the update
     rng = np.random.default_rng(9)
     policy = make_resampling(threshold)
     total = 0.0
     for _ in range(60):
         s = random_state(rng)
         resamples = policy.resample_count
-        var = policy.score_one(s)[1] if policy.t else 0.0
+        var = float(policy.scores(s.context, s.action[None, :])[1][0]) if policy.t else 0.0
         policy.update(s, rng.normal())
         total = 0.0 if policy.resample_count > resamples else total + var
         assert policy.accumulated_variance == total
