@@ -3,7 +3,7 @@
 Three verbs:
 
 * ``bandit-lab run   --config FILE``  one policy, all seeds, outputs written
-* ``bandit-lab sweep --config FILE``  every variant in the file, in parallel
+* ``bandit-lab sweep --config FILE``  every variant in the file, in order
 * ``bandit-lab diag  --config FILE``  replay a run and write diagnostics.csv
 
 ``--config`` takes a path or the name of a shipped preset (``bump_sweep``,
@@ -80,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="write anchor coordinates, probabilities, admission times",
         )
-        if name == "sweep":
-            cmd.add_argument("--parallelism", type=int, default=None)
     return parser
 
 
@@ -98,8 +96,7 @@ def main(argv: list[str] | None = None) -> int:
                 configs = expand_variants(base, variants)
             else:
                 configs = [build_run_config(base)]
-            # only sweep has --parallelism; a run keeps run_sweep's default
-            cells = run_sweep(configs, parallelism=getattr(args, "parallelism", None))
+            cells = run_sweep(configs)
             for path in emit_outputs(cells, configs[0].output_dir):
                 print(path)
             failures = sum(r.error is not None for c in cells for r in c.records)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -191,31 +190,28 @@ class SweepCell:
 
 
 def max_parallelism(requested: int | None = None) -> int:
-    """Sweep workers: ``requested``, else one per CPU; at least one."""
-    return max(requested if requested is not None else (os.cpu_count() or 1), 1)
+    """Cells a sweep runs at once: always one, whatever is requested."""
+    return 1
 
 
 def run_sweep(configs: list[RunConfig], parallelism: int | None = None) -> list[SweepCell]:
-    """Run every (config, seed) cell, at most ``parallelism`` at a time.
+    """Run every (config, seed) cell in job order, one at a time, on this thread.
 
-    Cells share nothing, so the schedule cannot change any result; a crashed
-    cell is reported in its record and does not stop its neighbors.
+    ``parallelism`` is accepted for the benchmark's caller and not used.  A
+    crashed cell is reported in its record and does not stop its neighbors.
     """
-    jobs = [(config, seed) for config in configs for seed in config.seeds]
-
-    def _one(job):
-        config, seed = job
-        try:
-            return run_single(config, seed)
-        except Exception as exc:  # noqa: BLE001 - isolate infrastructure failures too
-            bad = RunRecord(label=config.label, policy=config.policy, seed=seed)
-            bad.error = f"{type(exc).__name__}: {exc}"
-            return bad
-
-    # map yields the records in job order, whatever order the runs finish in
-    with ThreadPoolExecutor(max_workers=max_parallelism(parallelism)) as pool:
-        records = pool.map(_one, jobs)
-        return [SweepCell(config, [next(records) for _ in config.seeds]) for config in configs]
+    cells = []
+    for config in configs:
+        records = []
+        for seed in config.seeds:
+            try:
+                record = run_single(config, seed)
+            except Exception as exc:  # noqa: BLE001 - isolate infrastructure failures too
+                error = f"{type(exc).__name__}: {exc}"
+                record = RunRecord(config.label, config.policy, seed, error=error)
+            records.append(record)
+        cells.append(SweepCell(config, records))
+    return cells
 
 
 def _format(value) -> str:

@@ -25,13 +25,10 @@ The numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 thread pool.  On a machine with few cores the two pools' spinning workers
 compete with the main thread, and a ``cho_solve`` interleaved with numpy BLAS
 calls can run several times slower than alone.  So ``_lapack()`` pins scipy's
-pool to one thread the first time it is called.  The pin is process-wide:
-OpenBLAS's per-thread setting leaks to other threads, so a pin-and-restore
-around each call would race across the threads of a sweep; pinning before the
-first factorization also keeps a sweep's dense inverses independent of which
-thread factors first.  numpy's pool is left alone: every per-round update and
-score runs there, and pinning it changes their rounding.  Where scipy's
-OpenBLAS does not export the setter, threading is left as it is.
+pool to one thread the first time it is called, for the whole process.
+numpy's pool is left alone: every per-round update and score runs there, and
+pinning it changes their rounding.  Where scipy's OpenBLAS does not export the
+setter, threading is left as it is.
 """
 
 from __future__ import annotations
@@ -71,8 +68,6 @@ def _lapack():
     global _scipy_pinned
     la = scipy.linalg
     if not _scipy_pinned:
-        # pin, then mark it done: a thread that sees the mark never factors
-        # with two threads, and a second pin from a racing thread is harmless
         try:
             ctypes.CDLL(la._flapack.__file__).scipy_openblas_set_num_threads(1)
         except (AttributeError, OSError):

@@ -67,9 +67,7 @@ def test_sweep_runs_every_variant(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP)
     out = str(tmp_path / "out")
-    code = main(
-        ["sweep", "--config", str(cfg), "--out", out, "--parallelism", "2"]
-    )
+    code = main(["sweep", "--config", str(cfg), "--out", out])
     assert code == 0
     capsys.readouterr()
     assert os.path.exists(os.path.join(out, "trace_exact_0.csv"))

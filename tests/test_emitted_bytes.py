@@ -132,7 +132,7 @@ def digests(out_dir: str) -> dict:
 
 def test_emitted_files_keep_their_bytes(tmp_path):
     configs = sweep_configs()
-    cells = run_sweep(configs, parallelism=1)
+    cells = run_sweep(configs)
     mark_aborted(cells[1].records[1], 12, "NumericalDriftError: predicted variance -1.000e-03")
     out = str(tmp_path / "out")
     emit_outputs(cells, out)
@@ -150,7 +150,7 @@ def recovery_configs():
 
 
 def test_recovery_paths_keep_their_bytes(tmp_path):
-    cells = run_sweep(recovery_configs(), parallelism=1)
+    cells = run_sweep(recovery_configs())
     records = [cell.records[0] for cell in cells]
     counts = [(r.rounds, r.rebuilds, r.resamples, r.rejected_duplicates) for r in records]
     assert counts == RECOVERY_COUNTS

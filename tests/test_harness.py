@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -165,29 +166,32 @@ def test_run_single_marks_failures(monkeypatch):
     monkeypatch.setattr("bandit_lab.harness.build_policy", build_or_fail)
     with pytest.raises(ValueError):
         run_single(config, 0)
-    cells = run_sweep([config, small_config()], parallelism=1)
+    cells = run_sweep([config, small_config()])
     assert all(r.error is not None for r in cells[0].records)
     assert all(r.error is None for r in cells[1].records)
     assert cells[0].total_regrets.size == 0  # failed runs never enter statistics
 
 
-def test_sweep_results_do_not_depend_on_parallelism():
+def test_sweep_runs_each_cell_on_the_calling_thread_in_job_order(monkeypatch):
+    calls = []
+
+    def recording_run_single(config, seed):
+        calls.append((threading.get_ident(), config.label, seed))
+        return run_single(config, seed)
+
+    monkeypatch.setattr("bandit_lab.harness.run_single", recording_run_single)
     configs = [
-        small_config(**{"policy.name": name, "run.seeds": "0,1"})
+        small_config(**{"policy.name": name, "run.label": name, "run.seeds": "2,0,1"})
         for name in ("kucb", "ekucb", "random")
     ]
-    serial = run_sweep(configs, parallelism=1)
-    threaded = run_sweep(configs, parallelism=4)
-    for a, b in zip(serial, threaded):
-        assert [record_fingerprint(r) for r in a.records] == [
-            record_fingerprint(r) for r in b.records
-        ]
-
-
-def test_max_parallelism_takes_the_request():
-    assert max_parallelism(8) == 8
-    assert max_parallelism(1) == 1
-    assert max_parallelism(None) >= 1
+    cells = run_sweep(configs, 8)
+    assert calls == [
+        (threading.get_ident(), config.label, seed)
+        for config in configs
+        for seed in config.seeds
+    ]
+    assert [[r.seed for r in cell.records] for cell in cells] == [[2, 0, 1]] * 3
+    assert max_parallelism(8) == max_parallelism(None) == 1
 
 
 def test_trace_round_trip(tmp_path):
@@ -249,7 +253,7 @@ def test_emit_outputs(tmp_path):
             }
         ),
     ]
-    cells = run_sweep(configs, parallelism=2)
+    cells = run_sweep(configs)
     written = emit_outputs(cells, str(tmp_path))
     names = {os.path.basename(p) for p in written}
     assert {

@@ -45,7 +45,7 @@ def test_tracer_patches_every_target_and_records_kors_steps():
     tr.install()
     try:
         patched = bound_targets(tracer)
-        cells = run_sweep(configs, parallelism=1)
+        cells = run_sweep(configs)
     finally:
         tr.uninstall()
     unpatched = [
