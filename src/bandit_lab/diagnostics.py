@@ -1,16 +1,18 @@
 """Complexity measures and self-checks for kernel bandit runs.
 
-Three sizes of the same phenomenon, all computed from the history gram matrix
-K and the ridge parameter lam:
+Three sizes of the same phenomenon, all computed from the eigenvalues e_i of
+the history gram matrix K and the ridge parameter lam:
 
 * effective dimension   d_eff = Tr(K (K + lam I)^{-1}) = sum_i e_i / (e_i + lam)
 * information gain      g = 0.5 * sum_i log(1 + e_i / lam)
 * spectral dimension    the smallest j with j * lam * log(T) >= sum_{k > j} e_k
 
 plus the inequalities that tie them together, asserted by the test suite on
-random instances.  ``coverage_test`` closes the loop on the confidence radius:
-on the linear environment the posterior is a plain ridge regression, so the
-radius can be checked against the exactly known parameter vector.
+random instances.  One eigendecomposition of K feeds every measure: each is a
+field of ``complexity_report``.  ``coverage_test`` closes the loop on the
+confidence radius: on the linear environment the posterior is a plain ridge
+regression, so the radius can be checked against the exactly known parameter
+vector.
 """
 
 from __future__ import annotations
@@ -41,53 +43,6 @@ def _psd_eigenvalues(k: np.ndarray) -> np.ndarray:
     return np.maximum(eigs, 0.0)
 
 
-def effective_dimension(k: np.ndarray, lam: float) -> float:
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    eigs = _psd_eigenvalues(k)
-    return float(np.sum(eigs / (eigs + lam)))
-
-
-def information_gain(k: np.ndarray, lam: float) -> float:
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    eigs = _psd_eigenvalues(k)
-    return float(0.5 * np.sum(np.log1p(eigs / lam)))
-
-
-def valko_dimension(k: np.ndarray, lam: float, horizon: int) -> int:
-    """Smallest j such that j * lam * log(horizon) covers the spectral tail."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    eigs = np.sort(_psd_eigenvalues(k))[::-1]
-    tail = np.concatenate([np.cumsum(eigs[::-1])[::-1], [0.0]])  # tail[j] = sum_{k>j}
-    budget = lam * math.log(horizon)
-    for j in range(eigs.size + 1):
-        if j * budget >= tail[j] - 1e-12:
-            return j
-    return eigs.size
-
-
-def prop1_bound(
-    k: np.ndarray, lam: float, kappa: float
-) -> tuple[float, float]:
-    """Log-determinant growth bound: both sides of
-
-        sum_i log(1 + e_i / lam)  <=  log(e + e t kappa^2 / lam) * d_eff.
-    """
-    if lam <= 0 or kappa <= 0:
-        raise ValueError("lam and kappa must be positive")
-    eigs = _psd_eigenvalues(k)
-    t = eigs.size
-    lhs = float(np.sum(np.log1p(eigs / lam)))
-    rhs = math.log(math.e + math.e * t * kappa**2 / lam) * float(
-        np.sum(eigs / (eigs + lam))
-    )
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     t: int
@@ -102,16 +57,58 @@ class ComplexityReport:
 def complexity_report(
     k: np.ndarray, lam: float, kappa: float, horizon: int
 ) -> ComplexityReport:
-    lhs, rhs = prop1_bound(k, lam, kappa)
+    """Every measure of the gram k from one spectrum; Prop. 1's two sides are
+
+        sum_i log(1 + e_i / lam)  <=  log(e + e t kappa^2 / lam) * d_eff.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    if horizon < 2:
+        raise ValueError("horizon must be at least 2")
+    eigs = _psd_eigenvalues(k)
+    t = eigs.size
+    d_eff = float(np.sum(eigs / (eigs + lam)))
+    log_det = float(np.sum(np.log1p(eigs / lam)))
+    # spectral dimension: the smallest j with j * lam * log(horizon) >= tail[j]
+    desc = np.sort(eigs)[::-1]
+    tail = np.concatenate([np.cumsum(desc[::-1])[::-1], [0.0]])  # tail[j] = sum_{k>j}
+    budget = lam * math.log(horizon)
+    valko_d = t
+    for j in range(t + 1):
+        if j * budget >= tail[j] - 1e-12:
+            valko_d = j
+            break
     return ComplexityReport(
-        t=int(np.asarray(k).shape[0]),
+        t=t,
         lam=lam,
-        d_eff=effective_dimension(k, lam),
-        info_gain=information_gain(k, lam),
-        valko_d=valko_dimension(k, lam, horizon),
-        prop1_lhs=lhs,
-        prop1_rhs=rhs,
+        d_eff=d_eff,
+        info_gain=0.5 * log_det,
+        valko_d=valko_d,
+        prop1_lhs=log_det,
+        prop1_rhs=math.log(math.e + math.e * t * kappa**2 / lam) * d_eff,
     )
+
+
+# one measure alone is a report's field; kappa = 1 and horizon = 2 go unread
+def effective_dimension(k: np.ndarray, lam: float) -> float:
+    return complexity_report(k, lam, 1.0, 2).d_eff
+
+
+def information_gain(k: np.ndarray, lam: float) -> float:
+    return complexity_report(k, lam, 1.0, 2).info_gain
+
+
+def valko_dimension(k: np.ndarray, lam: float, horizon: int) -> int:
+    """Smallest j such that j * lam * log(horizon) covers the spectral tail."""
+    return complexity_report(k, lam, 1.0, horizon).valko_d
+
+
+def prop1_bound(k: np.ndarray, lam: float, kappa: float) -> tuple[float, float]:
+    """Both sides of Prop. 1's log-determinant growth bound."""
+    report = complexity_report(k, lam, kappa, 2)
+    return report.prop1_lhs, report.prop1_rhs
 
 
 @dataclass(frozen=True)

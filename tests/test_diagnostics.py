@@ -109,15 +109,26 @@ def test_prop1_bound_holds_on_random_instances():
         assert lhs <= rhs + 1e-9
 
 
-def test_complexity_report_is_consistent():
+def test_complexity_report_is_consistent(monkeypatch):
     k = random_gram(np.random.default_rng(6), 10)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     report = complexity_report(k, lam=0.5, kappa=1.0, horizon=1000)
+    assert calls == [(10, 10)]  # one spectrum feeds every field
     assert isinstance(report, ComplexityReport)
     assert report.t == 10
     assert report.lam == 0.5
-    assert report.d_eff == pytest.approx(effective_dimension(k, 0.5))
-    assert report.info_gain == pytest.approx(information_gain(k, 0.5))
+    assert report.d_eff == effective_dimension(k, 0.5)
+    assert report.info_gain == information_gain(k, 0.5)
     assert report.valko_d == valko_dimension(k, 0.5, 1000)
+    assert prop1_bound(k, 0.5, 1.0) == (report.prop1_lhs, report.prop1_rhs)
+    assert report.prop1_lhs == 2 * report.info_gain
     assert report.prop1_lhs <= report.prop1_rhs
 
 
