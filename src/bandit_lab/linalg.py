@@ -6,29 +6,38 @@ the inverse of a growing SPD matrix directly, via two primitives:
 * rank-one update      (M + u v^T)^{-1} from M^{-1}  (Sherman-Morrison)
 * one-row extension    [[M, b], [b^T, c]]^{-1} from M^{-1}  (Schur complement)
 
-Both return a fresh ``SpdInverse`` and re-symmetrize the result, so roundoff
-asymmetry cannot compound over thousands of updates.  A dense
-factorization-based inverse is also provided; it serves as the ground truth in
-tests and as the rebuild path for policies that refactor after drift; an
-in-order variant applies the one-row extension's singularity rule at once.
+Both return a fresh ``SpdInverse``.  The rank-one update re-symmetrizes its
+result, so roundoff asymmetry cannot compound over thousands of updates.  The
+one-row extension is not re-symmetrized: it writes the same border column and
+row, and its top-left block is symmetric to round-off, or exactly in numpy.
+The extension comes in two forms that compute the same blocks:
+``schur_extend``, the dictionary's, in numpy, and ``schur_extend_jittered``,
+kucb's, which updates one copy of the t-square inverse in place with a BLAS
+``dger``.  They round differently, and the shipped presets' dictionary runs
+depend on the bits of the first, so it stays until ROADMAP item 2 retires the
+dictionary's bordering.  A dense factorization-based inverse is also provided;
+it serves as the ground truth in tests and as the rebuild path for policies
+that refactor after drift; an in-order variant applies the one-row
+extension's singularity rule at once.
 
 ``scipy`` is imported bare and every call goes through ``_lapack()``, which
 reads ``scipy.linalg``.  scipy loads ``scipy.linalg`` on first attribute
 access, so a process pays for that import, about half of the package's import
-time, only when a run first factors a matrix; ``kucb``, ``random`` and
-drift-free ``ekucb`` runs never do.  The module-level name also lets a caller
-swap ``linalg.scipy`` for a view, as the benchmark tracer does to count
-``cho_factor`` attempts; a function-level ``import scipy.linalg`` would bypass
-such a view silently.
+time, only when a run first factors a matrix or borders kucb's inverse.  A
+``kucb`` run loads it, and pins scipy's pool as below, on its second update,
+the first with a history to border; ``random`` and drift-free ``ekucb`` runs
+never do.  The module-level name also lets a caller swap ``linalg.scipy`` for
+a view, as the benchmark tracer does to count ``cho_factor`` attempts; a
+function-level ``import scipy.linalg`` would bypass such a view silently.
 
 The numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 thread pool.  On a machine with few cores the two pools' spinning workers
 compete with the main thread, and a ``cho_solve`` interleaved with numpy BLAS
 calls can run several times slower than alone.  So ``_lapack()`` pins scipy's
 pool to one thread the first time it is called, for the whole process.
-numpy's pool is left alone: every per-round update and score runs there, and
-pinning it changes their rounding.  Where scipy's OpenBLAS does not export the
-setter, threading is left as it is.
+numpy's pool is left alone: every per-round update and score but kucb's
+bordering runs there, and pinning it changes their rounding.  Where scipy's
+OpenBLAS does not export the setter, threading is left as it is.
 """
 
 from __future__ import annotations
@@ -128,17 +137,15 @@ def sherman_morrison_update(
     return SpdInverse(_symmetrize(out))
 
 
-def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
-    """Inverse of the bordered matrix [[M, b], [b^T, c]] given M^{-1}.
+def _bordered(
+    inv: SpdInverse, b: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Schur step of a one-row extension, and the result with its border.
 
-    With s = c - b^T M^{-1} b and w = M^{-1} b the blocks are
-
-        top-left   M^{-1} + w w^T / s
-        top-right  -w / s
-        corner     1 / s
-
-    Raises ``NearSingularExtensionError`` when s < 1e-12, which is how
-    near-duplicate rows surface to callers.
+    Returns (out, w, s) with w = M^{-1} b and s = c - b^T w, where ``out`` is
+    the (n+1)-square result with the border column, border row and corner
+    written and the top-left block left for the caller.  Raises
+    ``NearSingularExtensionError`` when s < 1e-12.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape[0] != inv.dim:
@@ -149,21 +156,60 @@ def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
     if s < SINGULAR_TOL:
         raise NearSingularExtensionError(f"schur complement {s:.3e}")
     out = np.empty((n + 1, n + 1))
-    out[:n, :n] = inv.matrix + np.outer(w, w) / s
     out[:n, n] = -w / s
     out[n, :n] = -w / s
     out[n, n] = 1.0 / s
-    return SpdInverse(_symmetrize(out))
+    return out, w, s
 
 
-def schur_extend_jittered(
-    inv: SpdInverse, b: np.ndarray, c: float, jitter: float
-) -> SpdInverse:
-    """``schur_extend`` with one retry at c + jitter before giving up."""
-    try:
-        return schur_extend(inv, b, c)
-    except NearSingularExtensionError:
-        return schur_extend(inv, b, c + jitter)
+def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
+    """Inverse of the bordered matrix [[M, b], [b^T, c]] given M^{-1}.
+
+    With s = c - b^T M^{-1} b and w = M^{-1} b the blocks are
+
+        top-left   M^{-1} + w w^T / s
+        top-right  -w / s
+        corner     1 / s
+
+    Raises ``NearSingularExtensionError`` when s < 1e-12, which is how
+    near-duplicate rows surface to callers.  A symmetric M^{-1} gives an
+    exactly symmetric result, because w_i w_j = w_j w_i in floating point.
+
+    This is the dictionary's bordering step.  ``schur_extend_jittered``
+    computes the same blocks in place for kucb; the two differ in rounding,
+    and the dictionary keeps this arithmetic until ROADMAP item 2 retires
+    its bordering, because the shipped presets' runs depend on its bits.
+    """
+    out, w, s = _bordered(inv, b, c)
+    n = inv.dim
+    out[:n, :n] = inv.matrix + np.outer(w, w) / s
+    return SpdInverse(out)
+
+
+def schur_extend_jittered(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
+    """kucb's bordering step: ``schur_extend``'s blocks, top-left in place.
+
+    The top-left block is one BLAS ``dger`` rank-one update on a single
+    Fortran-ordered copy of M^{-1}, so a round makes three passes over the
+    t^2 entries (copy, update, write into the result) and allocates two
+    t-square arrays, where ``schur_extend`` makes four passes.  ``dger``'s
+    rounding of the rank-one term need not be symmetric in i and j, so the
+    result is symmetric to round-off rather than exactly; it is not
+    re-symmetrized.  The caller's M^{-1} is never written.
+
+    kucb's Schur complement is k(s, s) + lam - k^T (K + lam I)^{-1} k >= lam,
+    and the config rejects lam <= 0, so no retry at c + jitter is made; the
+    ``NearSingularExtensionError`` raise stays as the guard.  The name is
+    kept because the benchmark tracer wraps it.  The two bordering functions
+    exist until ROADMAP item 2 retires the dictionary's ``schur_extend``.
+    """
+    out, w, s = _bordered(inv, b, c)
+    n = inv.dim
+    if n:  # dger rejects an empty matrix
+        top = np.array(inv.matrix, order="F")
+        _lapack().blas.dger(1.0 / s, w, w, a=top, overwrite_a=1)
+        out[:n, :n] = top
+    return SpdInverse(out)
 
 
 def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:

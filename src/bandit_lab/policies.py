@@ -237,9 +237,7 @@ class ExactKernelUcb(_KernelPolicy):
             self.kernel, self.history, row[None, :], context_dim=self._context_dim
         )[:, 0]
         c = evaluate(self.kernel, s, s) + self.lam
-        self.k_lambda_inverse = schur_extend_jittered(
-            self.k_lambda_inverse, kz, c, self._jitter
-        )
+        self.k_lambda_inverse = schur_extend_jittered(self.k_lambda_inverse, kz, c)
         self._store(row, reward)
 
 

@@ -18,6 +18,7 @@ from bandit_lab.linalg import (
     schur_extend_jittered,
     sherman_morrison_update,
 )
+from bandit_lab.policies import ExactKernelUcb, ExplorationSchedule
 
 
 def random_spd(rng, n, scale=1.0):
@@ -88,12 +89,41 @@ def test_schur_extend_near_singular():
         schur_extend(inv, np.array([1.0]), 1.0)
 
 
-def test_schur_extend_jittered_recovers():
-    inv = SpdInverse(np.array([[1.0]]))
-    out = schur_extend_jittered(inv, np.array([1.0]), 1.0, jitter=1e-6)
-    assert out.dim == 2
-    with pytest.raises(NearSingularExtensionError):
-        schur_extend_jittered(inv, np.array([1.0]), 1.0 - 1e-6, jitter=1e-9)
+def test_schur_extend_keeps_exact_symmetry():
+    # w_i w_j = w_j w_i in floating point, so no re-symmetrize is needed
+    rng = np.random.default_rng(5)
+    full = random_spd(rng, 50)
+    inv = SpdInverse.empty()
+    for n in range(50):
+        inv = schur_extend(inv, full[:n, n], float(full[n, n]))
+        assert np.array_equal(inv.matrix, inv.matrix.T)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_schur_extend_jittered_leaves_its_input_alone(n):
+    # dger overwrites its copy of M^{-1}; the caller's inverse must not change
+    rng = np.random.default_rng(6)
+    full = random_spd(rng, n + 1, scale=n + 1.0)
+    lead = SpdInverse(np.linalg.inv(full[:n, :n]))
+    before = lead.matrix.tobytes()
+    out = schur_extend_jittered(lead, full[:n, n], float(full[n, n]))
+    assert lead.matrix.tobytes() == before
+    assert np.abs(out.matrix - np.linalg.inv(full)).max() < 1e-12
+
+
+def test_kucb_schur_complement_stays_above_lam():
+    # kucb borders K + lam I, whose Schur complement
+    # k(s, s) + lam - k^T (K + lam I)^{-1} k is at least lam, so its bordering
+    # needs no jitter retry: the corner 1/s never exceeds 1/lam, even when one
+    # state is played over and over
+    state = StatePoint(np.array([0.3, 0.7]), np.array([0.5]))
+    for lam in (1e-3, 1.0):
+        policy = ExactKernelUcb(
+            KernelSpec("gaussian", bandwidth=0.4), lam, ExplorationSchedule()
+        )
+        for _ in range(200):
+            policy.update(state, 1.0)
+            assert policy.k_lambda_inverse.matrix[-1, -1] <= (1.0 / lam) * (1.0 + 1e-9)
 
 
 def test_inverse_stays_symmetric():
