@@ -14,7 +14,7 @@ from .diagnostics import (
 )
 from .environments import Environment, EnvSpec, RoundOutcome
 from .harness import RunRecord, SweepCell, emit_outputs, run_single, run_sweep
-from .kernels import KernelSpec, StatePoint, evaluate, gram
+from .kernels import KernelSpec, StatePoint, evaluate, gram_packed
 from .linalg import (
     SpdInverse,
     dense_spd_inverse,
@@ -57,7 +57,7 @@ __all__ = [
     "effective_dimension",
     "emit_outputs",
     "evaluate",
-    "gram",
+    "gram_packed",
     "information_gain",
     "kors_step",
     "leverage_score",

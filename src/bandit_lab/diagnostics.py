@@ -164,7 +164,7 @@ def coverage_test(config: CoverageConfig) -> float:
         for _ in range(config.horizon):
             x = env.sample_context()
             idx = policy.choose(x, actions)
-            outcome = env.step(x, actions[idx])
+            outcome = env.step(x, idx)
             policy.update(StatePoint(x, actions[idx]), outcome.reward)
         # the policy's packed history holds the features phi = (x, a) of the
         # linear kernel, one row per round, beside the rewards

@@ -25,9 +25,8 @@ resampling baseline scores every past state with it), and
 dictionary and for a policy's drift recovery alike.
 
 Anchors are stored only as packed joint rows, the form ``gram_packed``
-consumes.  ``kors_step`` takes a state as its joint row, K_Z(s) and k(s, s),
-the values its policy computed for its own update, and ``Dictionary.seed`` as
-its row and k(s, s); only ``leverage_score`` reads a ``StatePoint``.
+consumes, and every function here takes a state as such a row or as K_Z(s)
+and k(s, s), the values its policy computed for its own update.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, StatePoint, evaluate, gram_packed, pack
+from .kernels import KernelSpec, gram_packed
 from .linalg import (
     NearSingularExtensionError,
     SpdInverse,
@@ -163,21 +162,13 @@ def dense_score_inverse(kzz: np.ndarray, probs, mu: float, jitter: float = 0.0) 
     return dense_spd_inverse(scaled + mu * np.eye(scaled.shape[0]), jitter=jitter)
 
 
-def _tau(d: Dictionary, kz: np.ndarray, k_self: float, params: KorsParams) -> float:
-    """tau of the state with anchor column K_Z(s) = ``kz`` and k(s, s) = ``k_self``."""
+def leverage_score(d: Dictionary, kz: np.ndarray, k_self: float, params: KorsParams) -> float:
+    """Estimated ridge leverage score tau from K_Z(s) = ``kz`` and k(s, s) = ``k_self``."""
     if params.mu != d.mu:
         raise ValueError("params.mu differs from the dictionary's mu")
     v = kz / np.sqrt(np.asarray(d.probs))
     r = float(v @ (d.score_inverse.matrix @ v))
     return float(leverage_estimate(k_self, r, params))
-
-
-def leverage_score(
-    d: Dictionary, s: StatePoint, params: KorsParams, spec: KernelSpec
-) -> float:
-    """Estimated ridge leverage score of ``s`` against the current anchors."""
-    kz = d.cross_vector(spec, s.joint, s.context.size)
-    return _tau(d, kz, evaluate(spec, s, s), params)
 
 
 def kors_step(
@@ -191,7 +182,7 @@ def kors_step(
     regardless of outcome, so the coin-flip stream stays aligned across
     configurations that share a seed.
     """
-    tau = _tau(d, kz, k_self, params)
+    tau = leverage_score(d, kz, k_self, params)
     if math.isinf(params.gamma):
         prob = 1.0
     else:
@@ -203,22 +194,20 @@ def kors_step(
 
 
 def projection_error(
-    d: Dictionary, history: list[StatePoint], spec: KernelSpec
+    d: Dictionary, rows: np.ndarray, spec: KernelSpec, context_dim: int | None = None
 ) -> float:
-    """Largest eigenvalue of K_SS - K_SZ K_ZZ^{-1} K_ZS over ``history``.
+    """Largest eigenvalue of K_SS - K_SZ K_ZZ^{-1} K_ZS over the packed history ``rows``.
 
     This is the operator norm of the part of the history gram that the anchor
     subspace fails to capture; the sampler's guarantee is that it stays below
     mu.  Diagnostic only, so it is computed densely from scratch with a small
     diagonal jitter on K_ZZ rather than from the maintained inverse.
     """
-    if len(history) == 0:
+    if len(rows) == 0:
         return 0.0
-    rows = pack(history)
-    ctx_dim = history[0].context.size
-    k_sz = gram_packed(spec, rows, d.packed, context_dim=ctx_dim)
-    k_zz = gram_packed(spec, d.packed, d.packed, context_dim=ctx_dim)
-    k_ss = gram_packed(spec, rows, rows, context_dim=ctx_dim)
+    k_sz = gram_packed(spec, rows, d.packed, context_dim=context_dim)
+    k_zz = gram_packed(spec, d.packed, d.packed, context_dim=context_dim)
+    k_ss = gram_packed(spec, rows, rows, context_dim=context_dim)
     inv = dense_spd_inverse(k_zz, jitter=1e-10 * spec.kappa**2)
     resid = k_ss - k_sz @ (inv.matrix @ k_sz.T)
     eigs = np.linalg.eigvalsh(0.5 * (resid + resid.T))

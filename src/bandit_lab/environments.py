@@ -14,7 +14,8 @@ are a known mean function plus centered Gaussian noise.  Four families:
 
 Hidden parameters, context draws, and reward noise come from three
 independently seeded substreams, so two environments built from the same spec
-replay identically and policy randomness never perturbs them.
+replay identically and policy randomness never perturbs them.  ``step`` plays
+an action by its grid index; ``reward_mean`` takes any action value.
 """
 
 from __future__ import annotations
@@ -134,17 +135,10 @@ class Environment:
             return out
         return self.theta_star[:-1] @ x + self.theta_star[-1] * a
 
-    def _grid_index(self, a: np.ndarray) -> int:
-        guess = int(round(float(a[0]) * (self.spec.action_grid - 1)))
-        guess = min(max(guess, 0), self.spec.action_grid - 1)
-        if abs(self._grid[guess] - float(a[0])) > 1e-9:
-            raise ValueError("action is not on the environment's grid")
-        return guess
-
-    def step(self, x: np.ndarray, a: np.ndarray) -> RoundOutcome:
-        """Play grid action ``a`` under context ``x``; one noise draw."""
-        a = _check_unit(a, "action")
-        idx = self._grid_index(a)
+    def step(self, x: np.ndarray, idx: int) -> RoundOutcome:
+        """Play the grid action of index ``idx`` under context ``x``; one noise draw."""
+        if not 0 <= idx < self.spec.action_grid:
+            raise ValueError(f"action index {idx} is outside the action grid")
         means = self.mean_on_grid(x)
         chosen = float(means[idx])
         noise = float(self._noise_rng.normal(0.0, self.spec.noise_sigma))

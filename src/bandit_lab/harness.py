@@ -132,7 +132,7 @@ def run_single(config: RunConfig, seed: int) -> RunRecord:
             started = time.perf_counter_ns()
             idx = policy.choose(x, actions)
             mid = time.perf_counter_ns()
-            outcome = env.step(x, actions[idx])
+            outcome = env.step(x, idx)
             s = StatePoint(x, actions[idx])
             resumed = time.perf_counter_ns()
             policy.update(s, outcome.reward)

@@ -12,22 +12,25 @@ vector.  Three kernel families are supported:
 Every spec carries ``kappa``, an upper bound on sqrt(k(s, s)) over the domain
 actually used.  Confidence radii and jitter magnitudes are stated in terms of
 kappa, so it is part of the kernel contract rather than a tuning knob.
+
+Packed rows are the kernel API (``gram_packed``, ``diag_packed``).  A
+``StatePoint`` is a round's hand-off to ``update``; only ``evaluate`` reads it,
+as the shipped runs depend on its bits for the policies' k(s, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class StatePoint:
-    """One joint context-action point.
+    """One joint context-action point, as a round hands it to ``update``.
 
-    Both blocks are 1-d float arrays; ``joint`` is their concatenation and is
-    what most kernel evaluations consume.
+    Both blocks are 1-d float arrays; ``joint`` is their concatenation, the
+    packed row that the policies store.
     """
 
     context: np.ndarray
@@ -88,13 +91,6 @@ class KernelSpec:
                 )
 
 
-def pack(points: Sequence[StatePoint]) -> np.ndarray:
-    """Stack joint coordinates of ``points`` into an (n, d) matrix."""
-    if len(points) == 0:
-        return np.zeros((0, 0))
-    return np.stack([p.joint for p in points])
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # ||u - v||^2 expanded; clamp tiny negatives from cancellation.
     aa = np.sum(a * a, axis=1)[:, None]
@@ -152,19 +148,3 @@ def evaluate(spec: KernelSpec, s: StatePoint, s2: StatePoint) -> float:
         spec, s.joint[None, :], s2.joint[None, :], context_dim=s.context.size
     )
     return float(out[0, 0])
-
-
-def gram(
-    spec: KernelSpec, rows: Sequence[StatePoint], cols: Sequence[StatePoint]
-) -> np.ndarray:
-    """Cross-gram matrix between two point lists.
-
-    Either list may be empty, giving a correspondingly degenerate shape.
-    """
-    if len(rows) == 0 or len(cols) == 0:
-        return np.zeros((len(rows), len(cols)))
-    ctx_dim = rows[0].context.size
-    for p in list(rows) + list(cols):
-        if p.context.size != ctx_dim or p.joint.size != rows[0].joint.size:
-            raise ValueError("state shapes differ across points")
-    return gram_packed(spec, pack(rows), pack(cols), context_dim=ctx_dim)

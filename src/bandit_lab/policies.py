@@ -347,9 +347,9 @@ class ProjectedKernelUcb(_KernelPolicy):
         Near dictionary saturation the drifted Lam estimate can make the
         bordering step numerically indefinite even though the true matrix is
         positive definite; that is recoverable, so it falls back to a dense
-        rebuild instead of failing the run.  The rebuild is the only recovery:
-        on the shipped presets a retry at c + jitter rescued none of the
-        admissions whose first bordering step failed.
+        rebuild instead of failing the run.  The bordering step itself is not
+        retried at c + jitter, which rescued none of these admissions on the
+        shipped presets; the rebuild's inverses are (see ``refactor``).
         """
         ks_z = gram_packed(
             self.kernel, self.history, row[None, :], context_dim=self._context_dim
@@ -378,7 +378,11 @@ class ProjectedKernelUcb(_KernelPolicy):
             self._admit_anchor(row, kz, k_self)
 
     def refactor(self) -> None:
-        """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path."""
+        """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path.
+
+        Each inverse retries once at M + jitter I.  Most rebuilds on the presets
+        retry Lam and K_ZZ, so ``kzz_inverse`` is then (K_ZZ + jitter I)^{-1}.
+        """
         kzz = self._dense_posterior()
         self.dictionary.kzz_inverse = dense_spd_inverse(kzz, jitter=self._jitter)
         self.dictionary.score_inverse = dense_score_inverse(

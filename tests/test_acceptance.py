@@ -29,7 +29,7 @@ from bandit_lab.dictionary import (
 )
 from bandit_lab.environments import Environment, EnvSpec
 from bandit_lab.harness import run_single, run_sweep
-from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram, gram_packed
+from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram_packed
 from bandit_lab.linalg import log_det_ratio
 from bandit_lab.policies import (
     ExactKernelUcb,
@@ -81,7 +81,7 @@ def test_acceptance_1_oracle_equivalence():
             worst_mean = max(worst_mean, float(np.abs(em - pm).max()))
             worst_var = max(worst_var, float(np.abs(ev - pv).max()))
             agreements += int(proj.choose(x, actions) == idx)
-        outcome = env.step(x, actions[idx])
+        outcome = env.step(x, idx)
         s = StatePoint(x, actions[idx])
         exact.update(s, outcome.reward)
         proj.update(s, outcome.reward)
@@ -108,7 +108,7 @@ def test_acceptance_2_incremental_vs_dense():
     for _ in range(200):
         x = env.sample_context()
         idx = exact.choose(x, actions)
-        outcome = env.step(x, actions[idx])
+        outcome = env.step(x, idx)
         exact.update(StatePoint(x, actions[idx]), outcome.reward)
         k = gram_packed(GAUSS, exact.history, exact.history)
         dense = np.linalg.inv(k + lam * np.eye(exact.t))
@@ -129,7 +129,7 @@ def test_acceptance_2_incremental_vs_dense():
     for t in range(200):
         x = env.sample_context()
         idx = proj.choose(x, actions) if t else 0
-        outcome = env.step(x, actions[idx])
+        outcome = env.step(x, idx)
         proj.update(StatePoint(x, actions[idx]), outcome.reward)
         anchors = proj.dictionary.packed
         kzz = gram_packed(GAUSS, anchors, anchors)
@@ -172,10 +172,8 @@ def test_acceptance_3_telescoping_identity():
     checks = 0
     for _ in range(100):
         n = int(rng.integers(2, 16))
-        states = [
-            StatePoint(rng.uniform(size=5), rng.uniform(size=1)) for _ in range(n)
-        ]
-        full = gram(GAUSS, states, states)
+        states = rng.uniform(size=(n, 6))
+        full = gram_packed(GAUSS, states, states)
         for lam in (0.1, 1.0, 10.0):
             for t in range(1, n):
                 prev, new = full[:t, :t], full[: t + 1, : t + 1]
@@ -213,8 +211,9 @@ def test_acceptance_4_projection_error_guarantee():
             kors_step(
                 d, t, s.joint, d.cross_vector(GAUSS, s.joint, x.size), evaluate(GAUSS, s, s), params
             )
-        proj_ok += projection_error(d, states, GAUSS) <= mu
-        d_eff = effective_dimension(gram(GAUSS, states, states), mu)
+        rows = np.array([s.joint for s in states])
+        proj_ok += projection_error(d, rows, GAUSS) <= mu
+        d_eff = effective_dimension(gram_packed(GAUSS, rows, rows), mu)
         size_ok += d.size <= 9.0 * d_eff * log_term
         sizes.append(d.size)
     assert proj_ok >= 95

@@ -144,8 +144,7 @@ def test_same_spec_replays_identically():
     for _ in range(10):
         xa, xb = a_env.sample_context(), b_env.sample_context()
         assert np.array_equal(xa, xb)
-        action = a_env.action_grid()[3]
-        assert a_env.step(xa, action) == b_env.step(xb, action)
+        assert a_env.step(xa, 3) == b_env.step(xb, 3)
 
 
 def test_different_seeds_differ():
@@ -160,19 +159,17 @@ def test_context_and_noise_streams_are_independent():
     x = plain.sample_context()
     for _ in range(17):  # extra context draws must not shift the noise stream
         busy.sample_context()
-    action = plain.action_grid()[11]
-    assert plain.step(x, action).reward == busy.step(x, action).reward
+    assert plain.step(x, 11).reward == busy.step(x, 11).reward
 
 
 def test_step_outcome_accounting():
     env = Environment(EnvSpec("chessboard", seed=11, noise_sigma=0.0))
     x = env.sample_context()
     for idx in (0, 13, 49):
-        action = env.action_grid()[idx]
-        out = env.step(x, action)
+        out = env.step(x, idx)
         assert isinstance(out, RoundOutcome)
         assert out.reward == out.chosen_value  # noiseless
-        assert out.chosen_value == env.reward_mean(x, action)
+        assert out.chosen_value == env.reward_mean(x, env.action_grid()[idx])
         assert out.best_value == env.mean_on_grid(x).max()
         assert out.best_value >= out.chosen_value
 
@@ -180,18 +177,21 @@ def test_step_outcome_accounting():
 def test_noise_has_requested_scale():
     env = Environment(EnvSpec("bump", seed=13, noise_sigma=0.1))
     x = env.sample_context()
-    action = env.action_grid()[25]
-    residuals = [env.step(x, action).reward - env.step(x, action).chosen_value
+    residuals = [env.step(x, 25).reward - env.step(x, 25).chosen_value
                  for _ in range(2000)]
     assert abs(float(np.mean(residuals))) < 0.01
     assert float(np.std(residuals)) == pytest.approx(0.1, abs=0.01)
 
 
 def test_step_rejects_off_grid_actions():
-    env = Environment(EnvSpec("bump"))
+    # an index outside 0 <= idx < action_grid names no grid action; numpy
+    # would read -1 as the last one, so the range is checked explicitly
+    env = Environment(EnvSpec("bump", action_grid=20))
     x = env.sample_context()
-    with pytest.raises(ValueError):
-        env.step(x, np.array([0.123456]))
+    for idx in (-1, 20, 50):
+        with pytest.raises(ValueError):
+            env.step(x, idx)
+    assert env.step(x, 19).chosen_value == env.mean_on_grid(x)[19]
 
 
 def test_reward_mean_handles_off_grid_actions():

@@ -6,17 +6,13 @@ from bandit_lab.kernels import (
     StatePoint,
     diag_packed,
     evaluate,
-    gram,
     gram_packed,
-    pack,
 )
 
 
-def random_points(rng, n, ctx_dim=3, act_dim=1):
-    return [
-        StatePoint(rng.uniform(size=ctx_dim), rng.uniform(size=act_dim))
-        for _ in range(n)
-    ]
+def random_rows(rng, n, ctx_dim=3, act_dim=1):
+    """n packed (context, action) rows."""
+    return rng.uniform(size=(n, ctx_dim + act_dim))
 
 
 def test_gaussian_identical_points():
@@ -57,13 +53,14 @@ def test_tensor_kernel_is_product_of_factors():
 def test_gram_matches_pairwise_eval():
     rng = np.random.default_rng(1)
     spec = KernelSpec("gaussian", bandwidth=0.4)
-    rows = random_points(rng, 6)
-    cols = random_points(rng, 4)
-    k = gram(spec, rows, cols)
+    rows = random_rows(rng, 6)
+    cols = random_rows(rng, 4)
+    k = gram_packed(spec, rows, cols)
     assert k.shape == (6, 4)
     for i in range(6):
         for j in range(4):
-            assert k[i, j] == pytest.approx(evaluate(spec, rows[i], cols[j]), abs=1e-12)
+            want = np.exp(-np.sum((rows[i] - cols[j]) ** 2) / (2 * 0.4**2))
+            assert k[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_gram_symmetry_and_psd():
@@ -73,8 +70,8 @@ def test_gram_symmetry_and_psd():
         KernelSpec("linear", kappa=3.0),
     ):
         for trial in range(20):
-            pts = random_points(rng, int(rng.integers(2, 21)))
-            k = gram(spec, pts, pts)
+            pts = random_rows(rng, int(rng.integers(2, 21)))
+            k = gram_packed(spec, pts, pts)
             assert np.allclose(k, k.T, atol=1e-12)
             assert np.linalg.eigvalsh(k).min() >= -1e-9
 
@@ -91,10 +88,11 @@ def test_self_similarity_bounded_by_kappa():
 
 def test_empty_gram_shapes():
     spec = KernelSpec("gaussian")
-    pts = random_points(np.random.default_rng(4), 3)
-    assert gram(spec, [], pts).shape == (0, 3)
-    assert gram(spec, pts, []).shape == (3, 0)
-    assert gram(spec, [], []).shape == (0, 0)
+    pts = random_rows(np.random.default_rng(4), 3)
+    empty = np.zeros((0, 4))
+    assert gram_packed(spec, empty, pts).shape == (0, 3)
+    assert gram_packed(spec, pts, empty).shape == (3, 0)
+    assert gram_packed(spec, empty, empty).shape == (0, 0)
 
 
 def test_dimension_mismatch_rejected():
@@ -104,7 +102,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         evaluate(spec, a, b)
     with pytest.raises(ValueError):
-        gram(spec, [a], [b])
+        gram_packed(spec, a.joint[None, :], b.joint[None, :])
 
 
 def test_spec_validation():
@@ -139,12 +137,11 @@ def test_nonfinite_coordinates_rejected():
 
 def test_pack_and_diag():
     rng = np.random.default_rng(5)
-    pts = random_points(rng, 7, ctx_dim=2)
-    packed = pack(pts)
-    assert packed.shape == (7, 3)
+    packed = random_rows(rng, 7, ctx_dim=2)
     spec = KernelSpec("linear", kappa=2.0)
     d = diag_packed(spec, packed)
-    want = np.array([evaluate(spec, p, p) for p in pts])
+    points = [StatePoint(r[:2], r[2:]) for r in packed]
+    want = np.array([evaluate(spec, p, p) for p in points])
     assert np.allclose(d, want, atol=1e-12)
     full = gram_packed(spec, packed, packed)
     assert np.allclose(np.diag(full), d, atol=1e-12)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from bandit_lab.kernels import KernelSpec, StatePoint, gram
+from bandit_lab.kernels import KernelSpec, StatePoint, gram_packed
 from bandit_lab.linalg import (
     FactorizationError,
     NearSingularExtensionError,
@@ -192,14 +192,10 @@ def test_telescoping_identity_on_kernel_histories():
     for lam in (0.1, 1.0, 10.0):
         for _ in range(10):
             n = int(rng.integers(1, 15))
-            pts = [
-                StatePoint(rng.uniform(size=2), rng.uniform(size=1))
-                for _ in range(n + 1)
-            ]
+            pts = rng.uniform(size=(n + 1, 3))
             prev, new = pts[:n], pts[: n + 1]
-            k_prev = gram(spec, prev, prev)
-            k_new = gram(spec, new, new)
-            s = pts[n]
+            k_prev = gram_packed(spec, prev, prev)
+            k_new = gram_packed(spec, new, new)
             ks = k_new[:n, n]
             k_ss = k_new[n, n]
             if n:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bandit_lab import dictionary, policies
+from bandit_lab import linalg, policies
+from bandit_lab._grow import GrowableMatrix
 from bandit_lab.dictionary import Dictionary, KorsParams
-from bandit_lab.kernels import KernelSpec, StatePoint, gram, gram_packed
-from bandit_lab.linalg import SINGULAR_TOL, SpdInverse
+from bandit_lab.kernels import KernelSpec, StatePoint, gram_packed
+from bandit_lab.linalg import SINGULAR_TOL, SpdInverse, dense_spd_inverse
 from bandit_lab.policies import (
     ExactKernelUcb,
     ExplorationSchedule,
@@ -39,11 +40,12 @@ def make_projected(gamma, seed=0, lam=1.0, mu=1.0, **kw):
 
 
 def dense_ridge_oracle(kernel, points, rewards, queries, lam):
-    k = gram(kernel, points, points) + lam * np.eye(len(points))
-    cross = gram(kernel, points, queries)
+    """Ridge mean and variance at the packed ``queries`` given the packed ``points``."""
+    k = gram_packed(kernel, points, points) + lam * np.eye(len(points))
+    cross = gram_packed(kernel, points, queries)
     sol = np.linalg.solve(k, np.column_stack([rewards[:, None], cross]))
     means = cross.T @ sol[:, 0]
-    var = (gram(kernel, queries, queries).diagonal() - np.einsum(
+    var = (gram_packed(kernel, queries, queries).diagonal() - np.einsum(
         "ij,ij->j", cross, sol[:, 1:]
     )) / lam
     return means, var
@@ -68,15 +70,15 @@ def test_exact_matches_dense_ridge():
             s = random_state(rng)
             r = rng.normal()
             policy.update(s, r)
-            points.append(s)
+            points.append(s.joint)
             rewards.append(r)
         queries = [random_state(rng) for _ in range(7)]
         ctx = queries[0].context
         block = np.vstack([q.action for q in queries])
-        fake = [StatePoint(ctx, q.action) for q in queries]
+        fake = np.hstack([np.broadcast_to(ctx, (7, ctx.size)), block])
         means, var = policy.scores(ctx, block)
         want_m, want_v = dense_ridge_oracle(
-            GAUSS, points, np.array(rewards), fake, lam
+            GAUSS, np.array(points), np.array(rewards), fake, lam
         )
         assert np.allclose(means, want_m, atol=1e-9)
         assert np.allclose(var, want_v, atol=1e-9)
@@ -206,7 +208,6 @@ def test_projected_update_reads_each_state_once(monkeypatch):
 
     monkeypatch.setattr(Dictionary, "cross_vector", counted_cross_vector)
     monkeypatch.setattr(policies, "evaluate", counted_evaluate)
-    monkeypatch.setattr(dictionary, "evaluate", counted_evaluate)
     rng = np.random.default_rng(12)
     policy = make_projected(gamma=2.0, seed=13)
     admitted = []
@@ -257,6 +258,45 @@ def test_indefinite_admission_recovers_via_dense_rebuild():
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
+
+
+def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
+    # the dense rebuild's inverses retry once at M + jitter I: two identical
+    # anchors make K_ZZ exactly singular, so its first Cholesky fails, and
+    # the rebuilt K_ZZ^{-1} is the inverse of K_ZZ + jitter I
+    rng = np.random.default_rng(40)
+    policy = make_projected(gamma=1e-12, seed=41)
+    for _ in range(6):
+        policy.update(random_state(rng), rng.normal())
+    row = np.array([0.5, 0.25, 0.75])  # dyadic, so k(row, row) is exactly 1
+    d = policy.dictionary
+    d.packed, d.probs, d.steps = np.vstack([row, row]), [1.0, 1.0], [0, 0]
+    policy._cross = GrowableMatrix(gram_packed(GAUSS, policy.history, d.packed))
+    kzz = gram_packed(GAUSS, d.packed, d.packed)
+    assert np.array_equal(kzz, np.ones((2, 2)))
+    real = linalg._lapack()
+    factored = []  # (matrix, whether its Cholesky succeeded), in call order
+
+    class View:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def cho_factor(self, m, **kwargs):
+            try:
+                out = real.cho_factor(m, **kwargs)
+            except np.linalg.LinAlgError:
+                factored.append((m.copy(), False))
+                raise
+            factored.append((m.copy(), True))
+            return out
+
+    monkeypatch.setattr(linalg, "_lapack", View)
+    policy.refactor()
+    jittered = kzz + policy._jitter * np.eye(2)
+    assert [ok for m, ok in factored if np.array_equal(m, kzz)] == [False]
+    assert [ok for m, ok in factored if np.array_equal(m, jittered)] == [True]
+    want = dense_spd_inverse(kzz, jitter=policy._jitter)
+    assert np.array_equal(policy.dictionary.kzz_inverse.matrix, want.matrix)
 
 
 def test_admission_in_the_jitter_window_rebuilds(monkeypatch):
