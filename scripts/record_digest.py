@@ -8,15 +8,18 @@ two trees print the same digest exactly when every run is bit-identical.
 
 Usage, from the root of a checkout::
 
-    python scripts/record_digest.py
+    python scripts/record_digest.py [WORKLOAD ...]
 
-It imports ``bandit_lab`` from the checkout's ``src/`` and the job lists from
-its ``perfbench/``, and writes nothing.  All four workloads take about 20 s
-on a 2-core host.
+With no names it digests all four workloads, which take about 20 s on a
+2-core host, most of it ``presets_1d``; named workloads are digested alone,
+in the order given, and an unknown name exits with status 2.  It imports
+``bandit_lab`` from the checkout's ``src/`` and the job lists from its
+``perfbench/``, and writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -58,7 +61,13 @@ def digest(workload: str) -> dict:
 
 
 def main() -> None:
-    for name in workloads.WORKLOADS:
+    parser = argparse.ArgumentParser(description="Digest the benchmark workloads' records.")
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
+    names = parser.parse_args().workloads or workloads.WORKLOADS
+    unknown = [name for name in names if name not in workloads.WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(workloads.WORKLOADS)}")
+    for name in names:
         d = digest(name)
         print(
             f"{name}: runs={d['runs']} completed={d['completed']} "

@@ -3,7 +3,7 @@
 Policies append one row per round for thousands of rounds; reallocating the
 exact size each time would turn O(m^2) updates into O(m t) copies.  The
 buffer doubles its row capacity instead, so row appends are amortized O(row).
-Column appends are not: ``append_col`` copies the whole buffer every time.
+Column appends are not: ``append_col`` copies every live row every time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ class GrowableMatrix:
         return self._buf[: self.rows]
 
     def append_row(self, row: np.ndarray) -> None:
-        row = np.asarray(row, dtype=float).reshape(-1)
+        """Append one row; a 1-d float array is taken as it is, without a conversion."""
+        if not (type(row) is np.ndarray and row.ndim == 1 and row.dtype == float):
+            row = np.asarray(row, dtype=float).reshape(-1)
         if row.shape[0] != self.cols:
             raise ValueError("row width mismatch")
         if self.rows == self._buf.shape[0]:
@@ -47,6 +49,6 @@ class GrowableMatrix:
         if col.shape[0] != self.rows:
             raise ValueError("column length mismatch")
         bigger = np.zeros((self._buf.shape[0], self.cols + 1))
-        bigger[:, : self.cols] = self._buf
+        bigger[: self.rows, : self.cols] = self._buf[: self.rows]
         self._buf = bigger
         self._buf[: self.rows, -1] = col

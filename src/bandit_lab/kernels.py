@@ -15,7 +15,9 @@ kappa, so it is part of the kernel contract rather than a tuning knob.
 
 Packed rows are the kernel API (``gram_packed``, ``diag_packed``).  A
 ``StatePoint`` is a round's hand-off to ``update``; only ``evaluate`` reads it,
-as the shipped runs depend on its bits for the policies' k(s, s).
+as the shipped runs depend on its bits for the policies' k(s, s).  Its packed
+row ``joint`` is built once, when the point is made, so an update that stores
+the row and evaluates k(s, s) concatenates once, not three times.
 """
 
 from __future__ import annotations
@@ -30,23 +32,23 @@ class StatePoint:
     """One joint context-action point, as a round hands it to ``update``.
 
     Both blocks are 1-d float arrays; ``joint`` is their concatenation, the
-    packed row that the policies store.
+    packed row that the policies store, built once here so that no read of it
+    concatenates again.
     """
 
     context: np.ndarray
     action: np.ndarray
+    joint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctx = np.asarray(self.context, dtype=float).reshape(-1)
         act = np.asarray(self.action, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(ctx)) and np.all(np.isfinite(act))):
+        joint = np.concatenate([ctx, act])
+        if not np.isfinite(joint).all():
             raise ValueError("state coordinates must be finite")
         object.__setattr__(self, "context", ctx)
         object.__setattr__(self, "action", act)
-
-    @property
-    def joint(self) -> np.ndarray:
-        return np.concatenate([self.context, self.action])
+        object.__setattr__(self, "joint", joint)
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,19 @@ class KernelSpec:
                 )
 
 
+def _rows(a) -> np.ndarray:
+    """``a`` as a 2-d float array, as ``np.atleast_2d`` gives it, minus its dispatch."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # ||u - v||^2 expanded; clamp tiny negatives from cancellation.
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
+    # np.add.reduce is np.sum without its Python dispatch layer, and a gram of
+    # a block against itself reuses the block's squared norms
+    aa = np.add.reduce(a * a, 1)
+    bb = aa if b is a else np.add.reduce(b * b, 1)
+    d2 = aa[:, None] + bb - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
 
 
@@ -107,8 +117,7 @@ def gram_packed(
     ``context_dim`` is required for tensor kernels, where rows split into a
     context block and an action block.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = _rows(a), _rows(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
     if a.shape[1] != b.shape[1]:
@@ -128,7 +137,7 @@ def diag_packed(
     spec: KernelSpec, a: np.ndarray, context_dim: int | None = None
 ) -> np.ndarray:
     """Vector of self-evaluations k(a_i, a_i) for packed coordinates."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = _rows(a)
     if spec.family == "gaussian":
         return np.ones(a.shape[0])
     if spec.family == "linear":
@@ -144,7 +153,8 @@ def evaluate(spec: KernelSpec, s: StatePoint, s2: StatePoint) -> float:
     """Scalar kernel evaluation k(s, s2)."""
     if s.context.shape != s2.context.shape or s.action.shape != s2.action.shape:
         raise ValueError("state shapes differ")
+    row = s.joint[None, :]
     out = gram_packed(
-        spec, s.joint[None, :], s2.joint[None, :], context_dim=s.context.size
+        spec, row, row if s2 is s else s2.joint[None, :], context_dim=s.context.size
     )
     return float(out[0, 0])

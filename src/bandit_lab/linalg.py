@@ -133,8 +133,13 @@ def sherman_morrison_update(
     denom = 1.0 + float(v @ mu)
     if abs(denom) < SINGULAR_TOL:
         raise SingularUpdateError(f"rank-one update denominator {denom:.3e}")
-    out = m - np.outer(mu, mv) / denom
-    return SpdInverse(_symmetrize(out))
+    # m - outer(mu, mv) / denom, then symmetrized, in place on fresh arrays
+    out = np.multiply.outer(mu, mv)
+    out /= denom
+    np.subtract(m, out, out=out)
+    sym = out + out.T
+    sym *= 0.5
+    return SpdInverse(sym)
 
 
 def _bordered(
@@ -219,15 +224,23 @@ def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
     positive, retries once on m + jitter * I.  A second failure raises
     ``FactorizationError``.  This is the slow-but-trusted path: tests compare
     the incremental inverses against it, and policies use it when rebuilding.
+
+    An exactly symmetric ``m``, which every policy rebuild passes, is factored
+    as it is: symmetrizing it would return the same bits.  Any other ``m``
+    must be symmetric within a tolerance, or ``ValueError`` is raised, and is
+    symmetrized first.  NaN fails both tests; an inf reaches the factorization,
+    whose finiteness check raises.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.shape[0] == 0:
         return SpdInverse.empty()
-    if not np.allclose(m, m.T, atol=1e-8 * (1.0 + np.abs(m).max())):
-        raise ValueError("matrix must be symmetric")
-    work = _symmetrize(m)
+    work = m
+    if not np.array_equal(m, m.T):
+        if not np.allclose(m, m.T, atol=1e-8 * (1.0 + np.abs(m).max())):
+            raise ValueError("matrix must be symmetric")
+        work = _symmetrize(m)
     attempts = [work]
     if jitter > 0:
         attempts.append(work + jitter * np.eye(work.shape[0]))

@@ -145,13 +145,17 @@ def _guard_variances(var: np.ndarray) -> np.ndarray:
     return np.maximum(var, 0.0)
 
 
-def _query_block(context: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def _query_block(context: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, int]:
+    """The candidates' packed (context, action) rows, and the context dimension."""
     context = np.asarray(context, dtype=float).reshape(-1)
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape[0] == 0:
         raise ValueError("no candidate actions")
-    ctx = np.broadcast_to(context, (actions.shape[0], context.shape[0]))
-    return np.hstack([ctx, actions])
+    dx = context.shape[0]
+    q = np.empty((actions.shape[0], dx + actions.shape[1]))
+    q[:, :dx] = context
+    q[:, dx:] = actions
+    return q, dx
 
 
 class _KernelPolicy:
@@ -196,7 +200,7 @@ class _KernelPolicy:
 
     def _store(self, row: np.ndarray, reward: float) -> None:
         self._history.append_row(row)
-        self._rewards.append_row([reward])
+        self._rewards.append_row(np.array([reward], dtype=float))
 
 
 class ExactKernelUcb(_KernelPolicy):
@@ -214,8 +218,7 @@ class ExactKernelUcb(_KernelPolicy):
         self, context: np.ndarray, actions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance for every candidate action."""
-        q = _query_block(context, actions)
-        ctx_dim = np.asarray(context).reshape(-1).shape[0]
+        q, ctx_dim = _query_block(context, actions)
         kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
         cross = gram_packed(self.kernel, self.history, q, context_dim=ctx_dim)
         alpha = self.k_lambda_inverse.matrix @ self.rewards
@@ -292,8 +295,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         """Projected posterior mean and variance for every candidate."""
         if self.dictionary.size == 0:
             raise ValueError("no scores before the bootstrap round")
-        q = _query_block(context, actions)
-        ctx_dim = np.asarray(context).reshape(-1).shape[0]
+        q, ctx_dim = _query_block(context, actions)
         kzq = gram_packed(self.kernel, self.dictionary.packed, q, context_dim=ctx_dim)
         kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
         means = kzq.T @ (self.lambda_inverse.matrix @ self.gamma_vec)
@@ -308,9 +310,8 @@ class ProjectedKernelUcb(_KernelPolicy):
         return _guard_variances(kdiag / self.lam + quad)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
         if self.t == 0:
-            return int(self.rng.integers(actions.shape[0]))
+            return int(self.rng.integers(np.atleast_2d(actions).shape[0]))
         means, var = self.scores(context, actions)
         beta = self.schedule.value(
             "projected",

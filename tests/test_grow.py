@@ -53,6 +53,32 @@ def test_append_col_extends_every_row():
     assert np.array_equal(m.view[-1], [1.0, 2.0, 3.0])
 
 
+def test_append_col_after_row_growth_keeps_every_live_value():
+    m = GrowableMatrix(np.zeros((0, 2)))
+    capacity = m._buf.shape[0]
+    want = np.arange(2.0 * (capacity + 3)).reshape(-1, 2)
+    for row in want:
+        m.append_row(row)
+    assert m._buf.shape[0] > capacity  # the rows outgrew the first buffer
+    col = -np.arange(1.0, m.rows + 1)
+    m.append_col(col)
+    assert np.array_equal(m.view, np.column_stack([want, col]))
+    assert not m._buf[m.rows :].any()  # capacity past the live rows stays zero
+    m.append_row([1.0, 2.0, 3.0])
+    assert np.array_equal(m.view[-1], [1.0, 2.0, 3.0])
+
+
+def test_append_row_takes_lists_and_arrays_and_keeps_a_copy():
+    m = GrowableMatrix(np.zeros((0, 2)))
+    m.append_row([1, 2])  # ints, converted
+    m.append_row(np.array([[3.0, 4.0]]))  # one row, flattened
+    row = np.array([5.0, 6.0])
+    m.append_row(row)
+    row[0] = -1.0  # the buffer holds its own copy
+    assert m.view.dtype == float
+    assert np.array_equal(m.view, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
 def test_width_mismatches_raise():
     m = GrowableMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="row width"):

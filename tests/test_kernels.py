@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bandit_lab import kernels
 from bandit_lab.kernels import (
     KernelSpec,
     StatePoint,
@@ -61,6 +62,22 @@ def test_gram_matches_pairwise_eval():
         for j in range(4):
             want = np.exp(-np.sum((rows[i] - cols[j]) ** 2) / (2 * 0.4**2))
             assert k[i, j] == pytest.approx(want, abs=1e-12)
+
+
+def test_sq_dists_rounds_as_the_plain_expression():
+    # the reduce calls and the self-gram's shared norms change no bit of the
+    # np.sum expression they replace, which the shipped runs depend on
+    rng = np.random.default_rng(8)
+    for n, c, d in [(1, 1, 2), (7, 50, 2), (30, 20, 6), (12, 12, 9)]:
+        a, b = rng.uniform(size=(n, d)), rng.uniform(size=(c, d))
+        for left, right in [(a, b), (a, a)]:
+            want = np.maximum(
+                np.sum(left * left, axis=1)[:, None]
+                + np.sum(right * right, axis=1)[None, :]
+                - 2.0 * (left @ right.T),
+                0.0,
+            )
+            assert np.array_equal(kernels._sq_dists(left, right), want)
 
 
 def test_gram_symmetry_and_psd():
@@ -133,6 +150,14 @@ def test_nonfinite_coordinates_rejected():
         StatePoint(np.array([np.nan]), np.array([0.5]))
     with pytest.raises(ValueError):
         StatePoint(np.array([0.5]), np.array([np.inf]))
+
+
+def test_joint_is_built_once():
+    s = StatePoint(np.array([0.3, 0.4]), np.array([[0.7]]))
+    assert s.joint is s.joint
+    assert s.joint.dtype == float
+    assert np.array_equal(s.joint, np.concatenate([s.context, s.action]))
+    assert np.array_equal(s.joint, [0.3, 0.4, 0.7])
 
 
 def test_pack_and_diag():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from bandit_lab import linalg
 from bandit_lab.kernels import KernelSpec, StatePoint, gram_packed
 from bandit_lab.linalg import (
     FactorizationError,
@@ -38,6 +39,21 @@ def test_sherman_morrison_matches_dense_oracle():
         inv = sherman_morrison_update(SpdInverse(np.linalg.inv(m)), u, u)
         want = np.linalg.inv(m + np.outer(u, u))
         assert np.linalg.norm(inv.matrix - want) < 1e-8
+
+
+def test_sherman_morrison_rounds_as_the_plain_expression():
+    # the in-place steps change no bit of the expression they replace
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 25, 60):
+        m = np.linalg.inv(random_spd(rng, n))
+        m = 0.5 * (m + m.T)
+        u, v = rng.normal(size=n), rng.normal(size=n)
+        for left, right in [(u, u), (u, v)]:
+            mu, mv = m @ left, m.T @ right
+            out = m - np.outer(mu, mv) / (1.0 + float(right @ mu))
+            want = 0.5 * (out + out.T)
+            got = sherman_morrison_update(SpdInverse(m), left, right).matrix
+            assert np.array_equal(got, want)
 
 
 def test_sherman_morrison_asymmetric_update():
@@ -148,6 +164,46 @@ def test_dense_spd_inverse_rejects_indefinite():
         dense_spd_inverse(np.array([[1.0, 0.0], [0.0, -1.0]]), jitter=1e-10)
     with pytest.raises(ValueError):
         dense_spd_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
+
+
+def _factor_symmetrized(m):
+    """The symmetrize-then-factor path, written out."""
+    la = linalg._lapack()
+    work = 0.5 * (m + m.T)
+    inv = la.cho_solve(la.cho_factor(work, lower=True), np.eye(m.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+def test_dense_spd_inverse_symmetric_fast_path(monkeypatch):
+    # an exactly symmetric input is factored as it is, with the same bits as
+    # the symmetrize-then-factor path; a slightly asymmetric one is still
+    # symmetrized first, and a clearly asymmetric one still raises
+    calls = []
+    symmetrize = linalg._symmetrize
+
+    def counted(m):
+        calls.append(m.shape)
+        return symmetrize(m)
+
+    monkeypatch.setattr(linalg, "_symmetrize", counted)
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 7, 40):
+        m = random_spd(rng, n)
+        m = m + m.T  # exactly symmetric
+        assert np.array_equal(m, m.T)
+        calls.clear()
+        assert np.array_equal(dense_spd_inverse(m).matrix, _factor_symmetrized(m))
+        assert len(calls) == 1  # the output only
+        bumped = m.copy()
+        bumped[-1, 0] += 1e-12 * np.abs(m).max()
+        if n > 1:
+            calls.clear()
+            got = dense_spd_inverse(bumped).matrix
+            assert np.array_equal(got, _factor_symmetrized(bumped))
+            assert len(calls) == 2  # the input, then the output
+            bumped[-1, 0] += 1e-3 * np.abs(m).max()
+            with pytest.raises(ValueError, match="symmetric"):
+                dense_spd_inverse(bumped)
 
 
 def test_dense_spd_inverse_jitter_rescues_singular():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bandit_lab import linalg, policies
+from bandit_lab import kernels, linalg, policies
 from bandit_lab._grow import GrowableMatrix
 from bandit_lab.dictionary import Dictionary, KorsParams
 from bandit_lab.kernels import KernelSpec, StatePoint, gram_packed
@@ -222,6 +222,52 @@ def test_projected_update_reads_each_state_once(monkeypatch):
             assert per_update == {"cross_vector": 1, "evaluate": 1}
             admitted.append(policy.dictionary.size > size)
     assert any(admitted) and not all(admitted)
+
+
+@pytest.mark.parametrize(
+    "name, per_round",
+    # ekucb: scores, k(s, s) and K_Z(s); kucb: scores, k(s, s) and the history
+    # column; cbbkb: scores and K_Z(s), its variance reusing that column
+    [("ekucb", 3), ("kucb", 3), ("cbbkb", 2)],
+)
+def test_kernel_work_per_round(monkeypatch, name, per_round):
+    # the kernel-layer twin of the test above: a round that neither admits an
+    # anchor nor resamples computes each squared-distance block once
+    calls = [0]
+    sq_dists = kernels._sq_dists
+
+    def counted(a, b):
+        calls[0] += 1
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(kernels, "_sq_dists", counted)
+    policy = {
+        "ekucb": lambda: make_projected(gamma=2.0, seed=14),
+        "kucb": lambda: ExactKernelUcb(GAUSS, 1.0, FIXED),
+        "cbbkb": lambda: make_resampling(6.0, seed=15),
+    }[name]()
+    rng = np.random.default_rng(16)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+
+
+    def extra_work():
+        # anchors admitted, resamples and dense rebuilds, each a gram of its own
+        return (
+            policy.dictionary_size,
+            getattr(policy, "resample_count", 0),
+            sum(getattr(policy, "rebuilds", {}).values()),
+        )
+
+    checked = 0
+    for t in range(60):
+        x = rng.uniform(size=2)
+        work, before = extra_work(), calls[0]
+        idx = policy.choose(x, actions)
+        policy.update(StatePoint(x, actions[idx]), rng.normal())
+        if t > 0 and extra_work() == work:
+            assert calls[0] - before == per_round
+            checked += 1
+    assert checked >= 10
 
 
 def test_refactor_is_a_no_op_on_healthy_state():
