@@ -1,9 +1,15 @@
-"""A row-growable array buffer.
+"""A row- and column-growable array buffer.
 
 Policies append one row per round for thousands of rounds; reallocating the
 exact size each time would turn O(m^2) updates into O(m t) copies.  The
 buffer doubles its row capacity instead, so row appends are amortized O(row).
-Column appends are not: ``append_col`` copies every live row every time.
+
+From a width of 4 on, columns double too (a capacity of 8, then 16, ...),
+so an anchor admission writes its column of the t x m cross block in place,
+amortized O(t), instead of copying every live row.  Widths 1 to 3 stay
+exact: numpy rounds ``view.T @ x`` on a strided view of 1 to 3 columns
+differently from the contiguous one, and a projected policy's dictionary
+starts at one anchor.
 """
 
 from __future__ import annotations
@@ -12,24 +18,24 @@ import numpy as np
 
 
 class GrowableMatrix:
-    """Row-growable (and occasionally column-growable) float matrix."""
+    """Row- and column-growable float matrix.
+
+    The constructor copies ``rows`` into a buffer of exactly their width;
+    spare columns appear only once ``append_col`` reaches 4 columns.
+    """
 
     def __init__(self, rows: np.ndarray):
         rows = np.asarray(rows, dtype=float)
-        self.rows = rows.shape[0]
+        self.rows, self.cols = rows.shape
         # the capacity appending the rows one by one would reach: 16 * 2^k
         capacity = max(16, 1 << (self.rows - 1).bit_length())
-        self._buf = np.zeros((capacity, rows.shape[1]))
+        self._buf = np.zeros((capacity, self.cols))
         self._buf[: self.rows] = rows
-
-    @property
-    def cols(self) -> int:
-        return self._buf.shape[1]
 
     @property
     def view(self) -> np.ndarray:
         """Live (rows, cols) window; treat as read-only."""
-        return self._buf[: self.rows]
+        return self._buf[: self.rows, : self.cols]
 
     def append_row(self, row: np.ndarray) -> None:
         """Append one row; a 1-d float array is taken as it is, without a conversion."""
@@ -38,17 +44,24 @@ class GrowableMatrix:
         if row.shape[0] != self.cols:
             raise ValueError("row width mismatch")
         if self.rows == self._buf.shape[0]:
-            bigger = np.zeros((2 * self._buf.shape[0], self.cols))
-            bigger[: self.rows] = self._buf[: self.rows]
-            self._buf = bigger
-        self._buf[self.rows] = row
+            self._grow(2 * self.rows, self._buf.shape[1])
+        self._buf[self.rows, : self.cols] = row
         self.rows += 1
 
     def append_col(self, col: np.ndarray) -> None:
+        """Append one column, in place while the buffer has a spare one."""
         col = np.asarray(col, dtype=float).reshape(-1)
         if col.shape[0] != self.rows:
             raise ValueError("column length mismatch")
-        bigger = np.zeros((self._buf.shape[0], self.cols + 1))
-        bigger[: self.rows, : self.cols] = self._buf[: self.rows]
+        if self.cols == self._buf.shape[1]:
+            # exact up to 3 columns (see the module docstring), then 8, 16, ...
+            width = self.cols + 1 if self.cols < 3 else max(8, 2 * self.cols)
+            self._grow(self._buf.shape[0], width)
+        self._buf[: self.rows, self.cols] = col
+        self.cols += 1
+
+    def _grow(self, row_capacity: int, col_capacity: int) -> None:
+        """Move the live window into a zeroed buffer of the given capacity."""
+        bigger = np.zeros((row_capacity, col_capacity))
+        bigger[: self.rows, : self.cols] = self.view
         self._buf = bigger
-        self._buf[: self.rows, -1] = col

@@ -86,3 +86,65 @@ def test_width_mismatches_raise():
     with pytest.raises(ValueError, match="column length"):
         m.append_col([1.0, 2.0, 3.0])
     assert m.rows == 2 and m.cols == 3
+
+
+def _rows_of_width_zero(n):
+    m = GrowableMatrix(np.zeros((0, 0)))
+    for _ in range(n):
+        m.append_row(np.zeros(0))
+    return m
+
+
+def test_below_four_columns_the_view_is_exact_and_contiguous():
+    m = _rows_of_width_zero(5)
+    for k in range(1, 4):
+        m.append_col(np.full(5, float(k)))
+        assert m._buf.shape[1] == m.cols == k
+        assert m.view.flags["C_CONTIGUOUS"]
+    assert np.array_equal(m.view, np.tile([1.0, 2.0, 3.0], (5, 1)))
+
+
+def test_from_four_columns_append_col_writes_in_place():
+    m = _rows_of_width_zero(5)
+    for k in range(1, 5):
+        m.append_col(np.full(5, float(k)))
+    first = m.view
+    for k in range(5, 9):  # 4 columns fill a capacity of 8
+        m.append_col(np.full(5, float(k)))
+        assert np.shares_memory(m.view, first)
+    assert m._buf.shape[1] == 8
+    m.append_col(np.full(5, 9.0))  # the ninth column doubles the capacity
+    doubled = m.view
+    assert m._buf.shape[1] == 16 and not np.shares_memory(doubled, first)
+    for k in range(10, 17):
+        m.append_col(np.full(5, float(k)))
+        assert np.shares_memory(m.view, doubled)
+    assert np.array_equal(m.view, np.tile(np.arange(1.0, 17.0), (5, 1)))
+
+
+def test_interleaved_row_and_col_growth_keeps_every_value():
+    rng = np.random.default_rng(5)
+    m = GrowableMatrix(np.zeros((0, 0)))
+    want = np.zeros((0, 0))
+    for _ in range(120):
+        if rng.uniform() < 0.8:
+            row = rng.normal(size=want.shape[1])
+            m.append_row(row)
+            want = np.vstack([want, row])
+        else:
+            col = rng.normal(size=want.shape[0])
+            m.append_col(col)
+            want = np.column_stack([want, col])
+        assert np.array_equal(m.view, want)
+    assert m.rows > 32 and m.cols > 8  # both axes doubled at least once
+    assert m._buf.shape[1] > m.cols  # and the last columns are spare
+    assert not m._buf[m.rows :].any() and not m._buf[:, m.cols :].any()
+
+
+def test_construction_copies_a_transposed_block_at_its_exact_width():
+    block = np.arange(12.0).reshape(2, 6)
+    m = GrowableMatrix(block.T)
+    assert not np.shares_memory(m.view, block)
+    assert m._buf.shape[1] == m.cols == 2
+    block[0, 0] = -1.0
+    assert m.view[0, 0] == 0.0

@@ -212,6 +212,37 @@ def test_dense_spd_inverse_jitter_rescues_singular():
     assert inv.dim == 2
 
 
+def test_dense_spd_inverse_returns_c_contiguous(monkeypatch):
+    # LAPACK's solve returns a Fortran-ordered inverse, and the policies'
+    # products with it round differently on that layout, so the result is
+    # C-ordered on the first attempt and on the jitter retry alike
+    real = linalg._lapack()
+    factored = []  # whether each Cholesky succeeded, in call order
+
+    class View:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def cho_factor(self, m, **kwargs):
+            try:
+                out = real.cho_factor(m, **kwargs)
+            except np.linalg.LinAlgError:
+                factored.append(False)
+                raise
+            factored.append(True)
+            return out
+
+    monkeypatch.setattr(linalg, "_lapack", View)
+    m = random_spd(np.random.default_rng(8), 9)
+    m = m + m.T  # exactly symmetric, factored as it is
+    assert dense_spd_inverse(m).matrix.flags["C_CONTIGUOUS"]
+    assert factored == [True]
+    factored.clear()
+    retried = dense_spd_inverse(np.ones((3, 3)), jitter=1e-8)  # rank one
+    assert retried.matrix.flags["C_CONTIGUOUS"]
+    assert factored == [False, True]
+
+
 def test_log_det_ratio_first_step():
     # empty history, k(s,s) = 1, lam = 1: (1 + 1) / 1 = 2
     assert log_det_ratio(np.zeros((0, 0)), np.array([[1.0]]), 1.0) == pytest.approx(2.0)

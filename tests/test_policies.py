@@ -192,6 +192,43 @@ def test_projected_incremental_state_matches_dense_rebuild():
     assert rel_drift(policy.cross, want["cross"]) < 1e-6
 
 
+class _ExactWidthMatrix(GrowableMatrix):
+    """The cross block's earlier layout: every column append copies to the exact width."""
+
+    def append_col(self, col):
+        self.__init__(np.column_stack([self.view, col]))
+
+
+def test_cross_block_is_exact_past_the_spare_column_switch(monkeypatch):
+    # from 4 anchors on the cross block has spare columns and each admission
+    # writes its column in place; the policy must keep the bits it had when
+    # every admission copied the block to its exact width
+    def run():
+        rng = np.random.default_rng(6)
+        policy = make_projected(gamma=0.5, seed=4)
+        sizes = set()
+        for _ in range(80):
+            policy.update(random_state(rng), rng.normal())
+            sizes.add(policy.dictionary.size)
+        return policy, sizes
+
+    policy, sizes = run()
+    monkeypatch.setattr(policies, "GrowableMatrix", _ExactWidthMatrix)
+    reference, _ = run()
+    # past the switch at 4 columns and the doubling at 9, with spare columns left
+    assert {3, 4, 8, 9} <= sizes and policy.dictionary.size < policy.t
+    assert policy._cross._buf.shape[1] > policy.dictionary.size
+    assert type(reference._cross) is _ExactWidthMatrix
+    assert reference._cross._buf.shape[1] == reference.dictionary.size
+    assert np.array_equal(policy.cross, reference.cross)
+    assert np.array_equal(policy.lambda_inverse.matrix, reference.lambda_inverse.matrix)
+    assert np.array_equal(policy.gamma_vec, reference.gamma_vec)
+    # gram_packed rounds a whole block differently from the rows and columns
+    # the policy assembles it from, so the dense gram agrees to rounding only
+    want = gram_packed(GAUSS, policy.dictionary.packed, policy.history)
+    assert np.allclose(policy.cross, want, rtol=0.0, atol=1e-13)
+
+
 def test_projected_update_reads_each_state_once(monkeypatch):
     # the sampler scores and admits the state from the K_Z(s) and k(s, s)
     # that the update computed for itself, so neither is computed twice
