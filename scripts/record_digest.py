@@ -5,6 +5,9 @@ and hashes, per record, the label, seed, chosen indices, rewards, cumulative
 regret, dictionary sizes, error and the rebuild, resample and rejected-
 duplicate counters.  Floats are hashed through their round-trip ``repr``, so
 two trees print the same digest exactly when every run is bit-identical.
+Beside each digest it prints ``regret_per_round``, the total regret of every
+run, aborted runs included, over the rounds they played, as the benchmark
+defines it, so a change that completes more runs shows its effect on regret.
 
 Usage, from the root of a checkout::
 
@@ -51,13 +54,21 @@ def digest(workload: str) -> dict:
     configs = [config for _, config in workloads.build(workload)]
     sha = hashlib.sha256()
     runs = completed = rounds = 0
+    regret = 0.0
     for cell in harness.run_sweep(configs):
         for record in cell.records:
             sha.update(json.dumps(record_fields(cell.config, record)).encode())
             runs += 1
             completed += record.error is None
             rounds += record.rounds
-    return {"runs": runs, "completed": completed, "rounds": rounds, "sha256": sha.hexdigest()}
+            regret += record.total_regret
+    return {
+        "runs": runs,
+        "completed": completed,
+        "rounds": rounds,
+        "regret_per_round": regret / max(rounds, 1),
+        "sha256": sha.hexdigest(),
+    }
 
 
 def main() -> None:
@@ -71,7 +82,8 @@ def main() -> None:
         d = digest(name)
         print(
             f"{name}: runs={d['runs']} completed={d['completed']} "
-            f"rounds={d['rounds']} sha256={d['sha256']}",
+            f"rounds={d['rounds']} regret_per_round={d['regret_per_round']:.4f} "
+            f"sha256={d['sha256']}",
             flush=True,
         )
 

@@ -9,7 +9,8 @@ always composes into one plain dictionary before being interpreted.
 Each key is declared once, in ``_KEYS``, with the dataclass field it sets and
 its parser; that table is also the list of known keys.  Defaults live only on
 the dataclasses (``EnvSpec``, ``KernelSpec``, ``ExplorationSchedule``,
-``RunConfig``), which also check the ranges.
+``RunConfig``, whose ``epsilon`` reads ``KorsParams``'s), which also check the
+ranges.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .dictionary import KorsParams
 from .environments import EnvSpec
 from .kernels import KernelSpec
 from .policies import ExplorationSchedule
@@ -34,7 +36,7 @@ class RunConfig:
     lam: float = 1.0
     mu: float = 1.0
     gamma: float | None = None  # None: 12 log(T^3) budget at run time
-    epsilon: float = 0.5
+    epsilon: float = KorsParams.epsilon
     schedule: ExplorationSchedule = field(default_factory=ExplorationSchedule)
     accumulation_threshold: float = 10.0
     horizon: int = 100
@@ -58,6 +60,8 @@ class RunConfig:
             raise ValueError("policy.accumulation_threshold must be at least 1")
         if not self.seeds:
             raise ValueError("run.seeds must list at least one seed")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("run.seeds must be distinct and non-negative")
         if not self.label:
             object.__setattr__(self, "label", self.policy)
 

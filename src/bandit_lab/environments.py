@@ -57,6 +57,8 @@ class EnvSpec:
             raise ValueError("noise_sigma must be nonnegative")
         if self.chessboard_cells < 1 or self.band_width <= 0:
             raise ValueError("invalid environment geometry")
+        if self.seed < 0:
+            raise ValueError("env.seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The bandit policies never solve a full linear system per round.  They maintain
 the inverse of a growing SPD matrix directly, via two primitives:
 
-* rank-one update      (M + u v^T)^{-1} from M^{-1}  (Sherman-Morrison)
+* rank-one update      (M + u u^T)^{-1} from M^{-1}  (Sherman-Morrison)
 * one-row extension    [[M, b], [b^T, c]]^{-1} from M^{-1}  (Schur complement)
 
 Both return a fresh ``SpdInverse``.  The rank-one update re-symmetrizes its
@@ -114,23 +114,23 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def sherman_morrison_update(
-    inv: SpdInverse, u: np.ndarray, v: np.ndarray
-) -> SpdInverse:
-    """Inverse of (M + u v^T) given M^{-1}.
+def sherman_morrison_update(inv: SpdInverse, u: np.ndarray) -> SpdInverse:
+    """Inverse of (M + u u^T) given M^{-1}.
 
-    (M + u v^T)^{-1} = M^{-1} - (M^{-1} u v^T M^{-1}) / (1 + v^T M^{-1} u).
+    (M + u u^T)^{-1} = M^{-1} - (M^{-1} u u^T M^{-1}) / (1 + u^T M^{-1} u).
 
-    Raises ``SingularUpdateError`` when |1 + v^T M^{-1} u| < 1e-12.
+    Raises ``SingularUpdateError`` when |1 + u^T M^{-1} u| < 1e-12, which an
+    indefinite M^{-1} can reach.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if u.shape[0] != inv.dim or v.shape[0] != inv.dim:
-        raise ValueError("update vectors must match the inverse dimension")
+    if u.shape[0] != inv.dim:
+        raise ValueError("update vector must match the inverse dimension")
     m = inv.matrix
     mu = m @ u
-    mv = m.T @ v
-    denom = 1.0 + float(v @ mu)
+    # not mu: BLAS sums the transposed product in another order, and the
+    # shipped runs depend on these bits
+    mv = m.T @ u
+    denom = 1.0 + float(u @ mu)
     if abs(denom) < SINGULAR_TOL:
         raise SingularUpdateError(f"rank-one update denominator {denom:.3e}")
     # m - outer(mu, mv) / denom, then symmetrized, in place on fresh arrays
@@ -218,32 +218,28 @@ def schur_extend_jittered(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInvers
 
 
 def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
-    """Factorization-based inverse of a symmetric positive definite matrix.
+    """Factorization-based inverse of an exactly symmetric positive definite matrix.
 
     Tries a Cholesky factorization of ``m``; if that fails and ``jitter`` is
     positive, retries once on m + jitter * I.  A second failure raises
     ``FactorizationError``.  This is the slow-but-trusted path: tests compare
     the incremental inverses against it, and policies use it when rebuilding.
 
-    An exactly symmetric ``m``, which every policy rebuild passes, is factored
-    as it is: symmetrizing it would return the same bits.  Any other ``m``
-    must be symmetric within a tolerance, or ``ValueError`` is raised, and is
-    symmetrized first.  NaN fails both tests; an inf reaches the factorization,
-    whose finiteness check raises.
+    ``m`` must equal its transpose bit for bit, as every gram and rebuild
+    matrix the package builds does, or ``ValueError`` is raised.  NaN fails
+    that test; an inf reaches the factorization, whose finiteness check
+    raises.  The result is symmetrized, which also returns it C-ordered.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.shape[0] == 0:
         return SpdInverse.empty()
-    work = m
     if not np.array_equal(m, m.T):
-        if not np.allclose(m, m.T, atol=1e-8 * (1.0 + np.abs(m).max())):
-            raise ValueError("matrix must be symmetric")
-        work = _symmetrize(m)
-    attempts = [work]
+        raise ValueError("matrix must be symmetric")
+    attempts = [m]
     if jitter > 0:
-        attempts.append(work + jitter * np.eye(work.shape[0]))
+        attempts.append(m + jitter * np.eye(m.shape[0]))
     la = _lapack()
     for candidate in attempts:
         try:

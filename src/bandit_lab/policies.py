@@ -8,8 +8,10 @@ Four policies share one interface (``choose(context, actions) -> index``,
   costs O(t^2) plus O(C t^2) for scoring C candidate actions.
 * ``ProjectedKernelUcb``   the same posterior projected onto a Nystrom
   dictionary grown online by leverage-score sampling; rounds cost O(m^2) or
-  O(t m) when an anchor is admitted, plus a rare O(t m^2) dense rebuild when
-  numerical drift is detected.
+  O(t m) when an anchor is admitted, plus an O(t m^2) dense rebuild when the
+  rank-one update's denominator is near zero or an admission's Schur
+  complement is not positive (``rebuilds``, by trigger; the shipped presets
+  make hundreds of the second kind).
 * ``ResamplingKernelUcb``  a baseline that keeps the dictionary frozen between
   full resamples triggered by accumulated posterior variance.
 * ``UniformRandomPolicy``  uniform action choice; the regret floor.
@@ -174,7 +176,6 @@ class _KernelPolicy:
         self._history: GrowableMatrix | None = None
         self._rewards = GrowableMatrix(np.zeros((0, 1)))
         self._context_dim: int | None = None
-        self._jitter = 1e-10 * kernel.kappa**2
 
     @property
     def t(self) -> int:
@@ -270,6 +271,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         self._cross = GrowableMatrix(np.zeros((0, 0)))  # rows are states: K_SZ
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
+        self._jitter = 1e-10 * kernel.kappa**2
         # dense rebuilds by the reason that triggered them
         self.rebuilds = {"singular_update": 0, "indefinite_admission": 0}
         # duplicates rejected by dictionaries that a resample has replaced
@@ -334,9 +336,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         self._cross.append_row(kz)
         self._store(row, reward)
         try:
-            self.lambda_inverse = sherman_morrison_update(
-                self.lambda_inverse, kz, kz
-            )
+            self.lambda_inverse = sherman_morrison_update(self.lambda_inverse, kz)
             self.gamma_vec = self.gamma_vec + reward * kz
         except LinalgError:
             self.rebuilds["singular_update"] += 1
@@ -434,7 +434,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         schedule: ExplorationSchedule,
         policy_rng: np.random.Generator,
         kors_rng: np.random.Generator,
-        accumulation_threshold: float = 10.0,
+        accumulation_threshold: float,
     ):
         super().__init__(kernel, lam, kors, schedule, policy_rng, kors_rng)
         if accumulation_threshold < 1:

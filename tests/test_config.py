@@ -191,6 +191,9 @@ def test_parse_errors_name_their_key(key, text):
         ("policy.norm_bound", "-1"),
         ("policy.delta", "0"),
         ("policy.delta", "1.5"),
+        ("run.seeds", "-1"),
+        ("run.seeds", "0,0"),
+        ("env.seed", "-3"),
     ],
 )
 def test_out_of_range_values_are_rejected_at_build_time(key, text):
