@@ -5,7 +5,9 @@ Four policies share one interface (``choose(context, actions) -> index``,
 
 * ``ExactKernelUcb``       kernel ridge regression on the full history; the
   inverse of K + lam I is extended by one Schur step per round, so a round
-  costs O(t^2) plus O(C t^2) for scoring C candidate actions.
+  costs O(t^2) plus O(C t^2) for scoring C candidate actions.  The step
+  borders with the history column and k(s, s) that ``choose`` scored the
+  chosen state with, so a round evaluates one kernel block.
 * ``ProjectedKernelUcb``   the same posterior projected onto a Nystrom
   dictionary grown online by leverage-score sampling; rounds cost O(m^2) or
   O(t m) when an anchor is admitted, plus an O(t m^2) dense rebuild when the
@@ -22,10 +24,17 @@ The projected posterior with anchors Z, history S, rewards Y uses
     mean(s) = K_Z(s)^T Lam Gam
     var(s)  = k(s, s) / lam + K_Z(s)^T (Lam - K_ZZ^{-1} / lam) K_Z(s)
 
-and coincides with the exact posterior whenever Z spans the history.  Both
-projected policies rebuild Lam and Gam densely through one method, which
-``refactor`` and every resample call; a resample's anchors and their inverses
-come from one in-order Cholesky factorization in ``rebuild_dictionary``.
+and coincides with the exact posterior whenever Z spans the history.  The
+correction Lam - K_ZZ^{-1} / lam is built in ``_variances`` at most once per
+pair of inverses and kept: the resampling update scores its state against
+the one ``choose`` built.  K_ZZ^{-1} / lam is kept beside the dictionary
+inverse it was divided from, and divided again only when that inverse is
+replaced (an admission, ``refactor`` or a resample).  The correction is
+dropped whenever Lam is replaced, by any assignment, and before the rank-one
+update allocates.  Both projected policies rebuild Lam and Gam densely
+through one method, which ``refactor`` and every resample call; a resample's
+anchors and their inverses come from one in-order Cholesky factorization in
+``rebuild_dictionary``.
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
@@ -36,6 +45,7 @@ there and not kept.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +220,9 @@ class ExactKernelUcb(_KernelPolicy):
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
         super().__init__(kernel, lam, schedule)
         self.k_lambda_inverse = SpdInverse.empty()
+        # the last choice's packed row, history column (a copy, so the t-by-C
+        # block is freed) and k(q, q), until the next update
+        self._chosen: tuple | None = None
 
     @property
     def dictionary_size(self) -> int:
@@ -220,28 +233,49 @@ class ExactKernelUcb(_KernelPolicy):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance for every candidate action."""
         q, ctx_dim = _query_block(context, actions)
+        _, _, means, var = self._posterior(q, ctx_dim)
+        return means, var
+
+    def _posterior(self, q: np.ndarray, ctx_dim: int) -> tuple:
+        """The candidates' history columns K_S(q), their k(q, q), means and variances."""
         kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
         cross = gram_packed(self.kernel, self.history, q, context_dim=ctx_dim)
         alpha = self.k_lambda_inverse.matrix @ self.rewards
         means = cross.T @ alpha
         quad = np.einsum("ij,ij->j", cross, self.k_lambda_inverse.matrix @ cross)
         var = (kdiag - quad) / self.lam
-        return means, _guard_variances(var)
+        return cross, kdiag, means, _guard_variances(var)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
-        means, var = self.scores(context, actions)
+        q, ctx_dim = _query_block(context, actions)
+        cross, kdiag, means, var = self._posterior(q, ctx_dim)
         beta = self.schedule.value(
             "exact", self.t, self.lam, 0.0, self.kernel.kappa, float(self.t)
         )
-        return int(np.argmax(means + beta * np.sqrt(var)))
+        idx = int(np.argmax(means + beta * np.sqrt(var)))
+        self._chosen = (q[idx], np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
+        return idx
 
     def update(self, s: StatePoint, reward: float) -> None:
+        """Border (K + lam I)^{-1} with s.
+
+        When s is the state ``choose`` just picked, its history column and
+        k(s, s) are the ones ``choose`` scored it with.  Otherwise, as for an
+        update with no ``choose`` before it, they are computed here: a t-by-1
+        ``gram_packed`` and ``evaluate(s, s)``.
+        """
         row = self._row(s)
-        kz = gram_packed(
-            self.kernel, self.history, row[None, :], context_dim=self._context_dim
-        )[:, 0]
-        c = evaluate(self.kernel, s, s) + self.lam
-        self.k_lambda_inverse = schur_extend_jittered(self.k_lambda_inverse, kz, c)
+        chosen, self._chosen = self._chosen, None
+        if chosen is not None and chosen[0].tobytes() == row.tobytes():
+            _, kz, k_self = chosen
+        else:
+            kz = gram_packed(
+                self.kernel, self.history, row[None, :], context_dim=self._context_dim
+            )[:, 0]
+            k_self = evaluate(self.kernel, s, s)
+        self.k_lambda_inverse = schur_extend_jittered(
+            self.k_lambda_inverse, kz, k_self + self.lam
+        )
         self._store(row, reward)
 
 
@@ -269,6 +303,11 @@ class ProjectedKernelUcb(_KernelPolicy):
         self.rng = policy_rng
         self.dictionary = Dictionary(mu=kors.mu, rng=kors_rng)
         self._cross = GrowableMatrix(np.zeros((0, 0)))  # rows are states: K_SZ
+        # K_ZZ^{-1} / lam, the dictionary inverse it was divided from (held
+        # weakly, so a replaced inverse is freed), and Lam - K_ZZ^{-1} / lam
+        self._kzz_scaled: np.ndarray | None = None
+        self._kzz_source: weakref.ref | None = None
+        self._correction: np.ndarray | None = None
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
         self._jitter = 1e-10 * kernel.kappa**2
@@ -291,6 +330,15 @@ class ProjectedKernelUcb(_KernelPolicy):
         """K_ZS, anchors by states."""
         return self._cross.view.T
 
+    @property
+    def lambda_inverse(self) -> SpdInverse:
+        return self._lambda_inverse
+
+    @lambda_inverse.setter
+    def lambda_inverse(self, value: SpdInverse) -> None:
+        self._lambda_inverse = value
+        self._correction = None
+
     def scores(
         self, context: np.ndarray, actions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,11 +352,19 @@ class ProjectedKernelUcb(_KernelPolicy):
         return means, self._variances(kzq, kdiag)
 
     def _variances(self, kzq: np.ndarray, kdiag: np.ndarray) -> np.ndarray:
-        """Guarded posterior variances of the states with anchor columns ``kzq``."""
-        correction = (
-            self.lambda_inverse.matrix - self.dictionary.kzz_inverse.matrix / self.lam
-        )
-        quad = np.einsum("ij,ij->j", kzq, correction @ kzq)
+        """Guarded posterior variances of the states with anchor columns ``kzq``.
+
+        Lam - K_ZZ^{-1} / lam is built once per pair of inverses and kept until
+        either is replaced; K_ZZ^{-1} / lam once per dictionary inverse.
+        """
+        kzz_inverse = self.dictionary.kzz_inverse
+        if self._kzz_source is None or self._kzz_source() is not kzz_inverse:
+            self._kzz_scaled = kzz_inverse.matrix / self.lam
+            self._kzz_source = weakref.ref(kzz_inverse)
+            self._correction = None
+        if self._correction is None:
+            self._correction = self.lambda_inverse.matrix - self._kzz_scaled
+        quad = np.einsum("ij,ij->j", kzq, self._correction @ kzq)
         return _guard_variances(kdiag / self.lam + quad)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
@@ -335,6 +391,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         """No-add branch shared with the resampling baseline."""
         self._cross.append_row(kz)
         self._store(row, reward)
+        self._correction = None  # freed before the update allocates its m x m arrays
         try:
             self.lambda_inverse = sherman_morrison_update(self.lambda_inverse, kz)
             self.gamma_vec = self.gamma_vec + reward * kz

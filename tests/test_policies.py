@@ -263,9 +263,10 @@ def test_projected_update_reads_each_state_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, per_round",
-    # ekucb: scores, k(s, s) and K_Z(s); kucb: scores, k(s, s) and the history
-    # column; cbbkb: scores and K_Z(s), its variance reusing that column
-    [("ekucb", 3), ("kucb", 3), ("cbbkb", 2)],
+    # ekucb: scores, k(s, s) and K_Z(s); kucb: scores, its update reusing the
+    # chosen history column and k(q, q); cbbkb: scores and K_Z(s), its
+    # variance reusing that column
+    [("ekucb", 3), ("kucb", 1), ("cbbkb", 2)],
 )
 def test_kernel_work_per_round(monkeypatch, name, per_round):
     # the kernel-layer twin of the test above: a round that neither admits an
@@ -286,7 +287,6 @@ def test_kernel_work_per_round(monkeypatch, name, per_round):
     rng = np.random.default_rng(16)
     actions = np.linspace(0.0, 1.0, 7)[:, None]
 
-
     def extra_work():
         # anchors admitted, resamples and dense rebuilds, each a gram of its own
         return (
@@ -305,6 +305,121 @@ def test_kernel_work_per_round(monkeypatch, name, per_round):
             assert calls[0] - before == per_round
             checked += 1
     assert checked >= 10
+
+
+def test_exact_update_reuses_only_the_chosen_state():
+    # kucb's update borders with the column and k(q, q) that choose scored,
+    # but only for the state choose picked and only once; any other update
+    # computes its own, bit for bit as an update with no choose before it
+    rng = np.random.default_rng(17)
+    policy = ExactKernelUcb(GAUSS, 1.0, FIXED)
+    unchosen = ExactKernelUcb(GAUSS, 1.0, FIXED)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+    for _ in range(30):
+        x = rng.uniform(size=2)
+        other = StatePoint(x, actions[(policy.choose(x, actions) + 1) % 7])
+        r = rng.normal()
+        policy.update(other, r)
+        unchosen.update(other, r)
+    assert np.array_equal(policy.k_lambda_inverse.matrix, unchosen.k_lambda_inverse.matrix)
+    for _ in range(10):
+        x = rng.uniform(size=2)
+        s = StatePoint(x, actions[policy.choose(x, actions)])
+        policy.update(s, rng.normal())
+        policy.update(s, rng.normal())  # the history grew: no column to reuse
+    k = gram_packed(GAUSS, policy.history, policy.history) + np.eye(policy.t)
+    assert policy.t == 50
+    assert np.allclose(policy.k_lambda_inverse.matrix, np.linalg.inv(k), atol=1e-10)
+
+
+def fresh_scores(policy, context, actions):
+    """``scores`` with Lam - K_ZZ^{-1} / lam built from the policy's inverses now."""
+    q, ctx_dim = policies._query_block(context, actions)
+    kzq = gram_packed(policy.kernel, policy.dictionary.packed, q, context_dim=ctx_dim)
+    kdiag = kernels.diag_packed(policy.kernel, q, context_dim=ctx_dim)
+    lam_mat = policy.lambda_inverse.matrix
+    means = kzq.T @ (lam_mat @ policy.gamma_vec)
+    correction = lam_mat - policy.dictionary.kzz_inverse.matrix / policy.lam
+    quad = np.einsum("ij,ij->j", kzq, correction @ kzq)
+    return means, _guard_variances(kdiag / policy.lam + quad)
+
+
+@pytest.mark.parametrize("name", ["ekucb", "cbkb", "cbbkb"])
+def test_kept_correction_is_never_stale(name):
+    # the kept Lam - K_ZZ^{-1} / lam and K_ZZ^{-1} / lam must follow every
+    # replacement of either inverse: rank-one updates, admissions, resamples,
+    # a forced refactor and a direct assignment
+    policy = {
+        "ekucb": lambda: make_projected(gamma=2.0, seed=18),
+        "cbkb": lambda: make_resampling(1.0, seed=19),
+        "cbbkb": lambda: make_resampling(3.0, seed=20),
+    }[name]()
+    rng = np.random.default_rng(21)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+    probe = np.array([0.4, 0.6])
+
+    def check():
+        got, want = policy.scores(probe, actions), fresh_scores(policy, probe, actions)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    sizes = set()
+    for t in range(40):
+        x = rng.uniform(size=2)
+        idx = policy.choose(x, actions)
+        if t:
+            check()
+        policy.update(StatePoint(x, actions[idx]), rng.normal())
+        check()
+        sizes.add(policy.dictionary.size)
+        if t == 20:
+            policy.refactor()
+            check()
+            policy.lambda_inverse = SpdInverse(policy.lambda_inverse.matrix * 0.5)
+            check()
+    if name == "ekucb":
+        assert len(sizes) >= 5
+    else:
+        assert policy.resample_count >= 5
+
+
+@pytest.mark.parametrize("name, per_round", [("ekucb", 1), ("cbbkb", 2)])
+def test_correction_is_built_once_per_round(monkeypatch, name, per_round):
+    # a round that neither admits nor resamples scores against one
+    # Lam - K_ZZ^{-1} / lam: the resampling update reuses the one its choose
+    # built; and K_ZZ^{-1} / lam is divided once per dictionary inverse
+    seen = []  # (correction, K_ZZ^{-1} / lam, dictionary inverse) per call
+    variances = ProjectedKernelUcb._variances
+
+    def spy(self, kzq, kdiag):
+        out = variances(self, kzq, kdiag)
+        seen.append((self._correction, self._kzz_scaled, self.dictionary.kzz_inverse))
+        return out
+
+    monkeypatch.setattr(ProjectedKernelUcb, "_variances", spy)
+    policy = {
+        "ekucb": lambda: make_projected(gamma=2.0, seed=14),
+        "cbbkb": lambda: make_resampling(6.0, seed=15),
+    }[name]()
+    rng = np.random.default_rng(16)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+    checked = 0
+    for t in range(60):
+        x = rng.uniform(size=2)
+        work = (policy.dictionary_size, getattr(policy, "resample_count", 0))
+        start = len(seen)
+        idx = policy.choose(x, actions)
+        policy.update(StatePoint(x, actions[idx]), rng.normal())
+        work_now = (policy.dictionary_size, getattr(policy, "resample_count", 0))
+        if t > 0 and work_now == work and not any(policy.rebuilds.values()):
+            calls = seen[start:]
+            assert len(calls) == per_round
+            assert all(c[0] is calls[0][0] for c in calls)
+            checked += 1
+    assert checked >= 10
+    scaled_of = {}
+    for _, scaled, kzz_inverse in seen:
+        assert scaled_of.setdefault(id(kzz_inverse), scaled) is scaled
+    assert len({id(s) for s in scaled_of.values()}) == len(scaled_of) > 1
 
 
 def test_refactor_is_a_no_op_on_healthy_state():
