@@ -8,9 +8,10 @@ Three verbs:
 
 ``--config`` takes a path or the name of a shipped preset (``bump_sweep``,
 ``chessboard_sweep``, ``stepdiag_sweep``).  Any key can be overridden with
-``--set section.key=value``; the common ones have dedicated flags.  Failures
-print one machine-readable JSON line to stderr and exit nonzero; so does a
-``run`` or ``sweep`` in which any run aborted, after writing its outputs.
+``--set section.key=value``; the common ones have dedicated flags, and a
+``sweep`` rejects one for a key that a variant sets, whose value would win.
+Failures print one machine-readable JSON line to stderr and exit nonzero; so
+does a ``run`` or ``sweep`` in which any run aborted, after writing its outputs.
 """
 
 from __future__ import annotations
@@ -87,12 +88,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         base, variants = parse_config_text(_load_config_text(args.config))
-        base = apply_overrides(base, _flag_overrides(args))
+        overrides = apply_overrides({}, _flag_overrides(args))
+        base.update(overrides)
         if args.command == "diag":
             config = build_run_config(base)
             print(write_diagnostics(config, config.output_dir))
         else:
             if args.command == "sweep":
+                for label, kv in variants.items():
+                    keys = ", ".join(sorted(overrides.keys() & kv.keys()))
+                    if keys:
+                        raise ValueError(f"variant {label!r} sets {keys}; overriding them is an error")
                 configs = expand_variants(base, variants)
             else:
                 configs = [build_run_config(base)]

@@ -7,10 +7,10 @@ variant is the base config with those overrides applied.  The same
 always composes into one plain dictionary before being interpreted.
 
 Each key is declared once, in ``_KEYS``, with the dataclass field it sets and
-its parser; that table is also the list of known keys.  Defaults live only on
-the dataclasses (``EnvSpec``, ``KernelSpec``, ``ExplorationSchedule``,
-``RunConfig``, whose ``epsilon`` reads ``KorsParams``'s), which also check the
-ranges.
+its parser; that table is also the list of known keys.  A file gives each key
+and each variant label at most once.  Defaults live only on the dataclasses
+(``EnvSpec``, ``KernelSpec``, ``ExplorationSchedule``, ``RunConfig``), which
+also check the ranges; the kernel bound kappa follows from the dimensions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dictionary import KorsParams
 from .environments import EnvSpec
 from .kernels import KernelSpec
 from .policies import ExplorationSchedule
@@ -36,7 +35,6 @@ class RunConfig:
     lam: float = 1.0
     mu: float = 1.0
     gamma: float | None = None  # None: 12 log(T^3) budget at run time
-    epsilon: float = KorsParams.epsilon
     schedule: ExplorationSchedule = field(default_factory=ExplorationSchedule)
     accumulation_threshold: float = 10.0
     horizon: int = 100
@@ -52,10 +50,10 @@ class RunConfig:
             raise ValueError("run.T must be at least 1")
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("policy.lambda and policy.mu must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("policy.epsilon must be positive")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("policy.gamma must be positive")
+        if self.gamma is None and self.horizon == 1 and self.policy not in ("kucb", "random"):
+            raise ValueError("policy.gamma must be set when run.T = 1, where 12 log(T^3) is 0")
         if self.accumulation_threshold < 1:
             raise ValueError("policy.accumulation_threshold must be at least 1")
         if not self.seeds:
@@ -81,6 +79,7 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, st
     """Split config text into base keys and per-variant override maps."""
     base: dict[str, str] = {}
     variants: dict[str, dict[str, str]] = {}
+    first_line: dict[str, int] = {}  # key or variant.<label> -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,6 +89,8 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, st
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"line {lineno}: {key} is already given on line {first_line[key]}")
         if key.startswith("variant."):
             label = key[len("variant.") :]
             if not label:
@@ -136,7 +137,6 @@ _KEYS = {
     "env.band_width": ("env", "band_width", _real),
     "kernel.family": ("kernel", "family", str),
     "kernel.bandwidth": ("kernel", "bandwidth", _real),
-    "kernel.kappa": ("kernel", "kappa", _real),
     "kernel.context_family": ("context", "family", str),
     "kernel.context_bandwidth": ("context", "bandwidth", _real),
     "kernel.action_family": ("action", "family", str),
@@ -145,7 +145,6 @@ _KEYS = {
     "policy.lambda": ("run", "lam", _real),
     "policy.mu": ("run", "mu", _real),
     "policy.gamma": ("run", "gamma", _real),
-    "policy.epsilon": ("run", "epsilon", _real),
     "policy.beta_mode": ("schedule", "mode", str),
     "policy.beta": ("schedule", "beta", _real),
     "policy.norm_bound": ("schedule", "norm_bound", _real),
@@ -178,7 +177,7 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
             raise ValueError(f"{key}: {exc}") from None
     env = EnvSpec(**groups["env"])
     kernel = groups["kernel"]
-    if kernel["family"] == "linear" and not kernel.get("kappa"):
+    if kernel["family"] == "linear":
         # joint states live in the unit cube, so sqrt(dim) bounds the feature norm
         kernel["kappa"] = math.sqrt(env.context_dim + 1)
     if kernel["family"] == "tensor":

@@ -12,11 +12,12 @@ For a candidate s with self-similarity k = k(s, s), anchor cross-vector
 K_Z(s), inclusion weights S = diag(1 / sqrt(p_i)) and regularizer mu, the
 estimator used here is
 
-    tau(s) = (1 + eps) * (k - r) / (k + mu - r),
+    tau(s) = 1.5 * (k - r) / (k + mu - r),
     r      = (S K_Z(s))^T (S K_ZZ S + mu I)^{-1} (S K_Z(s)),
 
 which is the augmented-dictionary form (s appended at weight 1) reduced by one
-block elimination; tests check the two agree.  The matrix
+block elimination; tests check the two agree.  The 1.5 is KORS's 1 + eps
+with eps fixed at 0.5, since eps only rescales gamma.  The matrix
 (S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, so a
 score costs O(m^2) after O(m) kernel evaluations.  Both are written once and
 shared: ``leverage_estimate`` is tau for one state or for a whole history (the
@@ -45,6 +46,8 @@ from .linalg import (
     schur_extend,
 )
 
+INFLATION = 1.5  # KORS's (1 + eps) overestimate factor, eps = 0.5
+
 
 @dataclass(frozen=True)
 class KorsParams:
@@ -57,15 +60,12 @@ class KorsParams:
     """
 
     mu: float
-    epsilon: float = 0.5
     gamma: float = 1.0
     delta: float | None = None
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
@@ -150,9 +150,9 @@ class Dictionary:
 
 
 def leverage_estimate(k, r, params: KorsParams):
-    """tau = (1 + eps) max(k - r, 0) / max(k + mu - r, mu), for scalars or arrays."""
+    """tau = 1.5 max(k - r, 0) / max(k + mu - r, mu), for scalars or arrays."""
     gap = np.maximum(k - r, 0.0)
-    return (1.0 + params.epsilon) * gap / np.maximum(k + params.mu - r, params.mu)
+    return INFLATION * gap / np.maximum(k + params.mu - r, params.mu)
 
 
 def dense_score_inverse(kzz: np.ndarray, probs, mu: float, jitter: float = 0.0) -> SpdInverse:

@@ -15,7 +15,8 @@ are a known mean function plus centered Gaussian noise.  Four families:
 Hidden parameters, context draws, and reward noise come from three
 independently seeded substreams, so two environments built from the same spec
 replay identically and policy randomness never perturbs them.  ``step`` plays
-an action by its grid index; ``reward_mean`` takes any action value.
+an action by its grid index; ``reward_mean``, the one mean function, takes any
+action values, on the grid or off it.
 """
 
 from __future__ import annotations
@@ -102,16 +103,9 @@ class Environment:
     def sample_context(self) -> np.ndarray:
         return self._context_rng.uniform(size=self.spec.context_dim)
 
-    def mean_on_grid(self, x: np.ndarray) -> np.ndarray:
-        """Noiseless mean reward of every grid action under context x."""
-        return self._mean(x, self._grid)
-
-    def reward_mean(self, x: np.ndarray, a: np.ndarray) -> float:
-        """Noiseless mean reward of one (context, action) pair, on or off the grid."""
-        a = _check_unit(a, "action")
-        if a.size != 1:
-            raise ValueError("actions are one-dimensional")
-        return float(self._mean(x, a)[0])
+    def reward_mean(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Noiseless mean reward under context x of each action value in ``a``."""
+        return self._mean(x, _check_unit(a, "action"))
 
     def _mean(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Mean reward under context x of every action in the 1-d array ``a``."""
@@ -141,7 +135,7 @@ class Environment:
         """Play the grid action of index ``idx`` under context ``x``; one noise draw."""
         if not 0 <= idx < self.spec.action_grid:
             raise ValueError(f"action index {idx} is outside the action grid")
-        means = self.mean_on_grid(x)
+        means = self._mean(x, self._grid)
         chosen = float(means[idx])
         noise = float(self._noise_rng.normal(0.0, self.spec.noise_sigma))
         return RoundOutcome(

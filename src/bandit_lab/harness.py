@@ -62,7 +62,7 @@ def build_policy(config: RunConfig, seed: int):
         return ExactKernelUcb(config.kernel, config.lam, config.schedule)
     if config.policy == "random":
         return UniformRandomPolicy(policy_rng)
-    kors = KorsParams(mu=config.mu, epsilon=config.epsilon, gamma=resolve_gamma(config))
+    kors = KorsParams(mu=config.mu, gamma=resolve_gamma(config))
     if config.policy == "ekucb":
         return ProjectedKernelUcb(
             config.kernel,

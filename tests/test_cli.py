@@ -77,6 +77,37 @@ def test_sweep_runs_every_variant(tmp_path, capsys):
         assert {r["label"] for r in csv.DictReader(fh)} == {"exact", "sparse"}
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--lambda", "5"], "policy.lambda"),
+        (["--policy", "random"], "policy.name"),
+        (["--set", "run.label=probe"], "run.label"),
+    ],
+)
+def test_sweep_rejects_an_override_that_a_variant_shadows(flags, key, tmp_path, capsys):
+    # variant keys are applied after the command line, so this override would be lost
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", "chessboard_sweep", "--out", str(out), *flags])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    # the preset's first variant, kucb, sets all three keys
+    assert key in error and "variant 'kucb'" in error
+    assert not out.exists()
+
+
+def test_sweep_applies_overrides_that_no_variant_sets(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP)
+    out = str(tmp_path / "out")
+    code = main(["sweep", "--config", str(cfg), "--out", out, "--T", "5", "--seeds", "3"])
+    assert code == 0
+    capsys.readouterr()
+    for label in ("exact", "sparse"):
+        with open(os.path.join(out, f"trace_{label}_3.csv")) as fh:
+            assert len(list(csv.DictReader(fh))) == 5
+
+
 def test_diag_writes_complexity_table(config_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["diag", "--config", config_file, "--out", out]) == 0

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,26 @@ def test_parse_config_text():
     assert variants["sparse"]["run.label"] == "very_sparse"
 
 
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("run.T = 5\nenv.seed = 1\nrun.T = 7\n", (1, 3)),
+        ("run.T = 5\nvariant.a = policy.name=kucb\n\nvariant.a = policy.name=ekucb\n", (2, 4)),
+    ],
+)
+def test_a_key_or_label_given_twice_is_an_error(text, lines):
+    first, second = lines
+    with pytest.raises(ValueError, match=rf"line {second}: .* line {first}\b"):
+        parse_config_text(text)
+
+
+def test_shipped_presets_have_no_repeated_lines():
+    for preset in ("bump_sweep", "chessboard_sweep", "stepdiag_sweep"):
+        text = resources.files("bandit_lab").joinpath("presets", f"{preset}.cfg").read_text()
+        _, variants = parse_config_text(text)
+        assert variants
+
+
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ValueError):
         parse_config_text("env.family bump")
@@ -77,7 +98,6 @@ NON_DEFAULT = {
     "env.band_width": ("0.2", {}),
     "kernel.family": ("linear", {}),
     "kernel.bandwidth": ("0.7", {}),
-    "kernel.kappa": ("3", {"kernel.family": "linear"}),
     "kernel.context_family": ("linear", {"kernel.family": "tensor"}),
     "kernel.context_bandwidth": ("0.3", {"kernel.family": "tensor"}),
     "kernel.action_family": ("linear", {"kernel.family": "tensor"}),
@@ -86,7 +106,6 @@ NON_DEFAULT = {
     "policy.lambda": ("2", {}),
     "policy.mu": ("2", {}),
     "policy.gamma": ("3", {}),
-    "policy.epsilon": ("0.25", {}),
     "policy.beta_mode": ("theoretical", {}),
     "policy.beta": ("2", {}),
     "policy.norm_bound": ("2", {}),
@@ -128,6 +147,25 @@ def test_unknown_keys_are_errors():
         build_run_config({"policy.lamda": "1.0"})
     with pytest.raises(ValueError):
         build_run_config({"simulation.T": "10"})
+    # kappa follows from the kernel and the dimensions, and KORS's eps is fixed
+    for key in ("kernel.kappa", "policy.epsilon"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config key {key!r}")):
+            build_run_config({key: "3"})
+
+
+@pytest.mark.parametrize("policy", ["ekucb", "cbkb", "cbbkb"])
+def test_default_budget_at_one_round_is_rejected_at_build_time(policy):
+    # 12 log(T^3) is 0 at T = 1, which used to fail every run in build_policy
+    with pytest.raises(ValueError, match=r"policy\.gamma.*run\.T"):
+        build_run_config({"policy.name": policy, "run.T": "1"})
+    set_budget = {"policy.name": policy, "run.T": "1", "policy.gamma": "2"}
+    assert build_run_config(set_budget).horizon == 1
+    assert build_run_config({"policy.name": policy, "run.T": "2"}).gamma is None
+
+
+@pytest.mark.parametrize("policy", ["kucb", "random"])
+def test_unbudgeted_policies_build_at_one_round(policy):
+    assert build_run_config({"policy.name": policy, "run.T": "1"}).horizon == 1
 
 
 def test_gamma_parsing():
@@ -140,13 +178,11 @@ FLOAT_KEYS = (
     "env.noise_sigma",
     "env.band_width",
     "kernel.bandwidth",
-    "kernel.kappa",
     "kernel.context_bandwidth",
     "kernel.action_bandwidth",
     "policy.lambda",
     "policy.mu",
     "policy.gamma",
-    "policy.epsilon",
     "policy.beta",
     "policy.norm_bound",
     "policy.delta",
@@ -183,7 +219,6 @@ def test_parse_errors_name_their_key(key, text):
 @pytest.mark.parametrize(
     "key, text",
     [
-        ("policy.epsilon", "0"),
         ("policy.gamma", "0"),
         ("policy.gamma", "-1"),
         ("policy.accumulation_threshold", "0.5"),
@@ -243,10 +278,12 @@ def test_linear_kernel_kappa_resolves_from_dimensions():
     )
     # 3 context coordinates plus the action, all in [0, 1]
     assert config.kernel.kappa == pytest.approx(2.0)
-    explicit = build_run_config(
-        {"env.family": "linear_sanity", "kernel.family": "linear", "kernel.kappa": "3"}
+    assert build_run_config({}).kernel.kappa == 1.0
+    tensor = build_run_config(
+        {"kernel.family": "tensor", "kernel.context_family": "linear"}
     )
-    assert explicit.kernel.kappa == 3.0
+    # a linear factor on bump's 5 context coordinates times a gaussian action factor
+    assert tensor.kernel.kappa == pytest.approx(math.sqrt(5))
 
 
 def test_tensor_kernel_from_config():

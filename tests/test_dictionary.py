@@ -48,7 +48,7 @@ def dense_score_oracle(d, s, params, spec):
     v = scale @ gram_packed(spec, zs, s[None, :])[:, 0]
     inner = scale @ k @ scale + params.mu * np.eye(len(zs))
     q = float(v @ np.linalg.solve(inner, v))
-    return (1.0 + params.epsilon) / params.mu * (k_self(s) - q)
+    return 1.5 / params.mu * (k_self(s) - q)  # KORS's (1 + eps), eps = 0.5
 
 
 def grown_dictionary(seed, n, mu=1.0, gamma=3.0):
@@ -309,8 +309,6 @@ def test_mu_mismatch_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         KorsParams(mu=0.0)
-    with pytest.raises(ValueError):
-        KorsParams(mu=1.0, epsilon=0.0)
     with pytest.raises(ValueError):
         KorsParams(mu=1.0, gamma=0.0)
     defaults = KorsParams.theory_default(100, mu=2.0)

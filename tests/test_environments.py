@@ -40,9 +40,9 @@ def test_grid_shape_and_range():
 def test_bump_peak_and_shape():
     env = Environment(EnvSpec("bump", seed=3))
     x = env.context_star  # tilt term vanishes here
-    assert env.reward_mean(x, np.array([env.action_star])) == pytest.approx(1.0)
-    means = env.mean_on_grid(x)
+    assert env.reward_mean(x, np.array([env.action_star])) == pytest.approx([1.0])
     grid = env.action_grid()[:, 0]
+    means = env.reward_mean(x, grid)
     want = np.maximum(0.0, 1.0 - np.abs(grid - env.action_star))
     assert np.allclose(means, want)
     assert np.all(means >= 0.0)
@@ -56,29 +56,23 @@ def test_bump_tilt_shifts_whole_curve():
         tilt = float(env.tilt @ (x - env.context_star))
         grid = env.action_grid()[:, 0]
         want = np.maximum(0.0, 1.0 - np.abs(grid - env.action_star) - tilt)
-        assert np.allclose(env.mean_on_grid(x), want)
+        assert np.allclose(env.reward_mean(x, grid), want)
 
 
 def test_chessboard_cell_values():
     env = Environment(EnvSpec("chessboard", chessboard_cells=2))
     # cell (i, j) carries value (1, 0.5, 0)[(2 i + j) % 3]
-    assert env.reward_mean(np.array([0.1]), np.array([0.1])) == 1.0
-    assert env.reward_mean(np.array([0.1]), np.array([0.6])) == 0.5
-    assert env.reward_mean(np.array([0.6]), np.array([0.1])) == 0.0
-    assert env.reward_mean(np.array([0.6]), np.array([0.6])) == 1.0
+    actions = np.array([0.1, 0.6])
+    assert env.reward_mean(np.array([0.1]), actions).tolist() == [1.0, 0.5]
+    assert env.reward_mean(np.array([0.6]), actions).tolist() == [0.0, 1.0]
 
 
 def test_chessboard_cycle_structure():
     # with 4 cells per side the row-major cycle reduces to (i + j) % 3, so
     # values shift one slot per row and every row contains all three levels
     env = Environment(EnvSpec("chessboard", chessboard_cells=4))
-    values = np.array(
-        [
-            [env.reward_mean(np.array([(i + 0.5) / 4]), np.array([(j + 0.5) / 4]))
-             for j in range(4)]
-            for i in range(4)
-        ]
-    )
+    centres = (np.arange(4) + 0.5) / 4
+    values = np.array([env.reward_mean(np.array([x]), centres) for x in centres])
     want = np.array(
         [
             [1.0, 0.5, 0.0, 1.0],
@@ -88,7 +82,8 @@ def test_chessboard_cycle_structure():
         ]
     )
     assert np.array_equal(values, want)
-    assert set(np.unique(env.mean_on_grid(np.array([0.37])))) <= {0.0, 0.5, 1.0}
+    means = env.reward_mean(np.array([0.37]), env.action_grid())
+    assert set(np.unique(means)) <= {0.0, 0.5, 1.0}
 
 
 def test_chessboard_top_edge_belongs_to_last_cell():
@@ -110,9 +105,9 @@ def test_step_diagonal_band_values():
         (0.28, 0.0),  # past the half band
         (0.65, 0.0),  # above the main band
     ]
-    for a, want in cases:
-        assert env.reward_mean(x, np.array([a])) == want, (a, want)
-    means = env.mean_on_grid(x)
+    actions, want = np.array(cases).T
+    assert np.array_equal(env.reward_mean(x, actions), want)
+    means = env.reward_mean(x, env.action_grid())
     assert set(np.unique(means)) <= {0.0, 0.5, 1.0}
     assert means.max() == 1.0
 
@@ -121,9 +116,9 @@ def test_step_diagonal_band_edges():
     # width 1/8 makes every edge exactly representable in binary floats
     env = Environment(EnvSpec("step_diagonal", band_width=0.125))
     x = np.array([0.5])
-    assert env.reward_mean(x, np.array([0.625])) == 0.0  # d = +w, exclusive
-    assert env.reward_mean(x, np.array([0.375])) == 0.5  # d = -w joins the half band
-    assert env.reward_mean(x, np.array([0.25])) == 0.0  # d = -2w, exclusive
+    # d = +w is exclusive, d = -w joins the half band, d = -2w is exclusive
+    means = env.reward_mean(x, np.array([0.625, 0.375, 0.25]))
+    assert means.tolist() == [0.0, 0.5, 0.0]
 
 
 def test_linear_sanity_mean_is_a_dot_product():
@@ -133,7 +128,7 @@ def test_linear_sanity_mean_is_a_dot_product():
         x = rng.uniform(size=3)
         a = rng.uniform(size=1)
         want = float(env.theta_star[:3] @ x + env.theta_star[3] * a[0])
-        assert env.reward_mean(x, a) == pytest.approx(want, abs=1e-12)
+        assert env.reward_mean(x, a) == pytest.approx([want], abs=1e-12)
 
 
 def test_same_spec_replays_identically():
@@ -169,8 +164,8 @@ def test_step_outcome_accounting():
         out = env.step(x, idx)
         assert isinstance(out, RoundOutcome)
         assert out.reward == out.chosen_value  # noiseless
-        assert out.chosen_value == env.reward_mean(x, env.action_grid()[idx])
-        assert out.best_value == env.mean_on_grid(x).max()
+        assert out.chosen_value == env.reward_mean(x, env.action_grid()[idx])[0]
+        assert out.best_value == env.reward_mean(x, env.action_grid()).max()
         assert out.best_value >= out.chosen_value
 
 
@@ -191,7 +186,7 @@ def test_step_rejects_off_grid_actions():
     for idx in (-1, 20, 50):
         with pytest.raises(ValueError):
             env.step(x, idx)
-    assert env.step(x, 19).chosen_value == env.mean_on_grid(x)[19]
+    assert env.step(x, 19).chosen_value == env.reward_mean(x, env.action_grid())[19]
 
 
 def test_reward_mean_handles_off_grid_actions():
@@ -200,14 +195,17 @@ def test_reward_mean_handles_off_grid_actions():
     a = np.array([0.123456])
     tilt = float(env.tilt @ (x - env.context_star))
     want = max(0.0, 1.0 - abs(0.123456 - env.action_star) - tilt)
-    assert env.reward_mean(x, a) == pytest.approx(want, abs=1e-12)
+    assert env.reward_mean(x, a) == pytest.approx([want], abs=1e-12)
 
 
 def test_unit_cube_validation():
     env = Environment(EnvSpec("bump"))
+    grid = env.action_grid()
     with pytest.raises(ValueError):
-        env.mean_on_grid(np.array([0.1, 0.2, 0.3, 0.4, 1.5]))
+        env.reward_mean(np.array([0.1, 0.2, 0.3, 0.4, 1.5]), grid)
     with pytest.raises(ValueError):
-        env.mean_on_grid(np.array([0.1, 0.2]))  # wrong dimension
+        env.reward_mean(np.array([0.1, 0.2]), grid)  # wrong dimension
     with pytest.raises(ValueError):
-        env.reward_mean(np.full(5, 0.5), np.array([-0.2]))
+        env.reward_mean(np.full(5, 0.5), np.array([0.3, -0.2]))
+    with pytest.raises(ValueError):
+        env.reward_mean(np.full(5, 0.5), np.array([]))
