@@ -6,7 +6,7 @@ everything else is imported from its own module.
 
 from .dictionary import KorsParams, projection_error
 from .environments import Environment, EnvSpec
-from .kernels import KernelSpec, StatePoint, gram_packed
+from .kernels import KernelSpec, gram_packed
 from .policies import ExactKernelUcb, ExplorationSchedule, ProjectedKernelUcb
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "KernelSpec",
     "KorsParams",
     "ProjectedKernelUcb",
-    "StatePoint",
     "gram_packed",
     "projection_error",
 ]

@@ -8,7 +8,8 @@ always composes into one plain dictionary before being interpreted.
 
 Each key is declared once, in ``_KEYS``, with the dataclass field it sets and
 its parser; that table is also the list of known keys.  A file gives each key
-and each variant label at most once.  Defaults live only on the dataclasses
+and each variant label at most once, and a variant line or the command line
+gives each key at most once.  Defaults live only on the dataclasses
 (``EnvSpec``, ``KernelSpec``, ``ExplorationSchedule``, ``RunConfig``), which
 also check the ranges; the kernel bound kappa follows from the dimensions.
 """
@@ -64,14 +65,16 @@ class RunConfig:
             object.__setattr__(self, "label", self.policy)
 
 
-def _tokens(tokens: list[str], what: str) -> dict[str, str]:
-    """``key=value`` tokens as a map; ``what`` names the source in errors."""
+def _tokens(tokens: list[str], where: str) -> dict[str, str]:
+    """``key=value`` tokens as a map, each key once; errors start with ``where``."""
     out = {}
     for token in tokens:
         if "=" not in token:
-            raise ValueError(f"{what} {token!r} is not key=value")
-        key, value = token.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ValueError(f"{where}: token {token!r} is not key=value")
+        key, value = (part.strip() for part in token.split("=", 1))
+        if key in out:
+            raise ValueError(f"{where}: {key} is given twice")
+        out[key] = value
     return out
 
 
@@ -95,7 +98,7 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, dict[str, st
             label = key[len("variant.") :]
             if not label:
                 raise ValueError(f"line {lineno}: variant needs a label")
-            overrides = _tokens(value.split(), f"line {lineno}: variant token")
+            overrides = _tokens(value.split(), f"line {lineno}: variant {label!r}")
             overrides.setdefault("run.label", label)
             variants[label] = overrides
         else:
@@ -209,7 +212,7 @@ def _factor_kernel(part: str, fields: dict, dim: int) -> KernelSpec:
 
 
 def apply_overrides(kv: dict[str, str], tokens: list[str]) -> dict[str, str]:
-    return {**kv, **_tokens(tokens, "override")}
+    return {**kv, **_tokens(tokens, "overrides")}
 
 
 def expand_variants(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .environments import Environment, EnvSpec
-from .kernels import KernelSpec, StatePoint
+from .kernels import KernelSpec
 from .policies import ExactKernelUcb, ExplorationSchedule, theoretical_beta
 
 
@@ -165,7 +165,7 @@ def coverage_test(config: CoverageConfig) -> float:
             x = env.sample_context()
             idx = policy.choose(x, actions)
             outcome = env.step(x, idx)
-            policy.update(StatePoint(x, actions[idx]), outcome.reward)
+            policy.update(x, actions[idx], outcome.reward)
         # the policy's packed history holds the features phi = (x, a) of the
         # linear kernel, one row per round, beside the rewards
         phis, ys = policy.history, policy.rewards

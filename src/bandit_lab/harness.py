@@ -20,7 +20,7 @@ from .config import RunConfig
 from .diagnostics import complexity_report
 from .dictionary import KorsParams
 from .environments import Environment
-from .kernels import StatePoint, gram_packed
+from .kernels import gram_packed
 from .policies import (
     ExactKernelUcb,
     ProjectedKernelUcb,
@@ -133,9 +133,8 @@ def run_single(config: RunConfig, seed: int) -> RunRecord:
             idx = policy.choose(x, actions)
             mid = time.perf_counter_ns()
             outcome = env.step(x, idx)
-            s = StatePoint(x, actions[idx])
             resumed = time.perf_counter_ns()
-            policy.update(s, outcome.reward)
+            policy.update(x, actions[idx], outcome.reward)
             finished = time.perf_counter_ns()
         except Exception as exc:  # noqa: BLE001 - any policy failure ends the run
             record.error = f"{type(exc).__name__}: {exc}"

@@ -13,11 +13,11 @@ Every spec carries ``kappa``, an upper bound on sqrt(k(s, s)) over the domain
 actually used.  Confidence radii and jitter magnitudes are stated in terms of
 kappa, so it is part of the kernel contract rather than a tuning knob.
 
-Packed rows are the kernel API (``gram_packed``, ``diag_packed``).  A
-``StatePoint`` is a round's hand-off to ``update``; only ``evaluate`` reads it,
-as the shipped runs depend on its bits for the policies' k(s, s).  Its packed
-row ``joint`` is built once, when the point is made, so an update that stores
-the row and evaluates k(s, s) concatenates once, not three times.
+Packed rows are the kernel API (``gram_packed``, ``diag_packed``), and the
+only one the policies read.  ``StatePoint`` and ``evaluate`` serve scalar
+evaluation for the tests, acceptance 4 and the benchmark tracer.
+``evaluate(s, s)`` runs the same 1-by-1 ``gram_packed`` that gives the
+policies' k(s, s), so its bits are theirs.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class StatePoint:
-    """One joint context-action point, as a round hands it to ``update``.
+    """One joint context-action point, for scalar ``evaluate``.
 
     Both blocks are 1-d float arrays; ``joint`` is their concatenation, the
-    packed row that the policies store, built once here so that no read of it
-    concatenates again.
+    packed row, built once here so that no read of it concatenates again.
     """
 
     context: np.ndarray

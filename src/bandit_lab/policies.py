@@ -1,7 +1,7 @@
 """Upper-confidence-bound policies for kernelized contextual bandits.
 
 Four policies share one interface (``choose(context, actions) -> index``,
-``update(state, reward)``):
+``update(context, action, reward)``):
 
 * ``ExactKernelUcb``       kernel ridge regression on the full history; the
   inverse of K + lam I is extended by one Schur step per round, so a round
@@ -38,8 +38,8 @@ anchors and their inverses come from one in-order Cholesky factorization in
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
-its anchors Z the same way.  The ``StatePoint`` handed to ``update`` is read
-there and not kept.
+its anchors Z the same way.  ``update`` packs the arrays ``choose`` took into
+that row once; k(s, s) is a 1-by-1 ``gram_packed``, not ``diag_packed``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 from ._grow import GrowableMatrix
 from .dictionary import Dictionary, KorsParams, dense_score_inverse, kors_step
 from .dictionary import leverage_estimate, rebuild_dictionary
-from .kernels import KernelSpec, StatePoint, diag_packed, evaluate, gram_packed
+from .kernels import KernelSpec, diag_packed, gram_packed
 from .linalg import (
     LinalgError,
     SpdInverse,
@@ -174,7 +174,7 @@ class _KernelPolicy:
     """History shared by the kernel policies: packed joint rows and rewards.
 
     Each observed state is stored once, as one (context, action) row of
-    ``history``; the ``StatePoint`` handed to ``update`` is not kept.
+    ``history``, packed from the arrays ``update`` is handed.
     """
 
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
@@ -201,13 +201,20 @@ class _KernelPolicy:
             return np.zeros((0, 0))
         return self._history.view
 
-    def _row(self, s: StatePoint) -> np.ndarray:
-        """The joint row of s; the first call sizes the history buffer."""
-        row = s.joint
+    def _row(self, context: np.ndarray, action: np.ndarray) -> np.ndarray:
+        """The packed row of (context, action); the first call sizes the history."""
+        context = np.asarray(context, dtype=float).reshape(-1)
+        row = np.concatenate([context, np.asarray(action, dtype=float).reshape(-1)])
+        if not np.isfinite(row).all():
+            raise ValueError("state coordinates must be finite")
         if self._history is None:
-            self._context_dim = s.context.size
+            self._context_dim = context.size
             self._history = GrowableMatrix(np.zeros((0, row.size)))
         return row
+
+    def _column(self, block: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """k(b, s) for each packed row b of ``block``; k(s, s) is a 1-row block."""
+        return gram_packed(self.kernel, block, row[None, :], self._context_dim)[:, 0]
 
     def _store(self, row: np.ndarray, reward: float) -> None:
         self._history.append_row(row)
@@ -256,23 +263,21 @@ class ExactKernelUcb(_KernelPolicy):
         self._chosen = (q[idx], np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
         return idx
 
-    def update(self, s: StatePoint, reward: float) -> None:
-        """Border (K + lam I)^{-1} with s.
+    def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
+        """Border (K + lam I)^{-1} with the state s = (context, action).
 
         When s is the state ``choose`` just picked, its history column and
         k(s, s) are the ones ``choose`` scored it with.  Otherwise, as for an
         update with no ``choose`` before it, they are computed here: a t-by-1
-        ``gram_packed`` and ``evaluate(s, s)``.
+        and a 1-by-1 ``gram_packed``.
         """
-        row = self._row(s)
+        row = self._row(context, action)
         chosen, self._chosen = self._chosen, None
         if chosen is not None and chosen[0].tobytes() == row.tobytes():
             _, kz, k_self = chosen
         else:
-            kz = gram_packed(
-                self.kernel, self.history, row[None, :], context_dim=self._context_dim
-            )[:, 0]
-            k_self = evaluate(self.kernel, s, s)
+            kz = self._column(self.history, row)
+            k_self = float(self._column(row[None, :], row)[0])
         self.k_lambda_inverse = schur_extend_jittered(
             self.k_lambda_inverse, kz, k_self + self.lam
         )
@@ -409,9 +414,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         retried at c + jitter, which rescued none of these admissions on the
         shipped presets; the rebuild's inverses are (see ``refactor``).
         """
-        ks_z = gram_packed(
-            self.kernel, self.history, row[None, :], context_dim=self._context_dim
-        )[:, 0]
+        ks_z = self._column(self.history, row)
         b = self._cross.view.T @ ks_z + self.lam * kz
         c = float(ks_z @ ks_z) + self.lam * k_self
         self.gamma_vec = np.append(self.gamma_vec, float(ks_z @ self.rewards))
@@ -422,9 +425,9 @@ class ProjectedKernelUcb(_KernelPolicy):
             self.rebuilds["indefinite_admission"] += 1
             self.refactor()
 
-    def update(self, s: StatePoint, reward: float) -> None:
-        row = self._row(s)
-        k_self = evaluate(self.kernel, s, s)
+    def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
+        row = self._row(context, action)
+        k_self = float(self._column(row[None, :], row)[0])
         if self.t == 0:
             self._bootstrap(row, k_self, reward)
             return
@@ -500,10 +503,10 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         self.accumulated_variance = 0.0
         self.resample_count = 0
 
-    def update(self, s: StatePoint, reward: float) -> None:
-        row = self._row(s)
+    def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
+        row = self._row(context, action)
         if self.t == 0:
-            self._bootstrap(row, evaluate(self.kernel, s, s), reward)
+            self._bootstrap(row, float(self._column(row[None, :], row)[0]), reward)
             return
         kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
         kdiag = diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)
@@ -567,5 +570,5 @@ class UniformRandomPolicy:
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
         return int(self.rng.integers(actions.shape[0]))
 
-    def update(self, s: StatePoint, reward: float) -> None:
+    def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
         self.t += 1

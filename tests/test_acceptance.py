@@ -82,9 +82,8 @@ def test_acceptance_1_oracle_equivalence():
             worst_var = max(worst_var, float(np.abs(ev - pv).max()))
             agreements += int(proj.choose(x, actions) == idx)
         outcome = env.step(x, idx)
-        s = StatePoint(x, actions[idx])
-        exact.update(s, outcome.reward)
-        proj.update(s, outcome.reward)
+        exact.update(x, actions[idx], outcome.reward)
+        proj.update(x, actions[idx], outcome.reward)
     elapsed = time.perf_counter() - started
     assert proj.dictionary.size == 100  # every state admitted
     assert worst_mean <= 1e-7
@@ -109,7 +108,7 @@ def test_acceptance_2_incremental_vs_dense():
         x = env.sample_context()
         idx = exact.choose(x, actions)
         outcome = env.step(x, idx)
-        exact.update(StatePoint(x, actions[idx]), outcome.reward)
+        exact.update(x, actions[idx], outcome.reward)
         k = gram_packed(GAUSS, exact.history, exact.history)
         dense = np.linalg.inv(k + lam * np.eye(exact.t))
         worst_exact = max(
@@ -130,7 +129,7 @@ def test_acceptance_2_incremental_vs_dense():
         x = env.sample_context()
         idx = proj.choose(x, actions) if t else 0
         outcome = env.step(x, idx)
-        proj.update(StatePoint(x, actions[idx]), outcome.reward)
+        proj.update(x, actions[idx], outcome.reward)
         anchors = proj.dictionary.packed
         kzz = gram_packed(GAUSS, anchors, anchors)
         kzs = gram_packed(GAUSS, anchors, proj.history)
@@ -241,9 +240,7 @@ def test_acceptance_5_complexity_scaling():
             kors_rng=np.random.default_rng(1),
         )
         for _ in range(m):
-            policy.update(
-                StatePoint(rng.uniform(size=5), rng.uniform(size=1)), rng.normal()
-            )
+            policy.update(rng.uniform(size=5), rng.uniform(size=1), rng.normal())
         assert policy.dictionary.size == m
         policy.kors = KorsParams(mu=10.0, gamma=1e-12)  # freeze the dictionary
         laps = []
@@ -251,7 +248,7 @@ def test_acceptance_5_complexity_scaling():
             s = StatePoint(rng.uniform(size=5), rng.uniform(size=1))
             t0 = time.perf_counter_ns()
             policy.choose(s.context, actions)
-            policy.update(s, float(rng.normal()))
+            policy.update(s.context, s.action, float(rng.normal()))
             laps.append(time.perf_counter_ns() - t0)
         assert policy.dictionary.size == m
         ek_medians.append(float(np.median(laps)))

@@ -108,6 +108,28 @@ def test_sweep_applies_overrides_that_no_variant_sets(tmp_path, capsys):
             assert len(list(csv.DictReader(fh))) == 5
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--set", "run.T=5", "--T", "7"], ["--set", "policy.mu=1", "--set", "policy.mu=2"]],
+)
+def test_a_key_given_twice_on_the_command_line_is_a_json_error(flags, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_file, "--out", str(out), *flags]) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "is given twice" in error and flags[1].split("=")[0] in error
+    assert not out.exists()
+
+
+def test_a_key_given_twice_in_a_variant_line_is_a_json_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(BASE + "variant.twice = run.T=5 run.T=7\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "variant 'twice': run.T is given twice" in error
+    assert not out.exists()
+
+
 def test_diag_writes_complexity_table(config_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["diag", "--config", config_file, "--out", out]) == 0

@@ -55,6 +55,27 @@ def test_a_key_or_label_given_twice_is_an_error(text, lines):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("variant.a = run.T=5 run.T=7\n", "line 1: variant 'a'"),
+        ("run.T = 5\n\nvariant.b = policy.name=kucb run.T=5 run.T=5\n", "line 3: variant 'b'"),
+    ],
+)
+def test_a_key_repeated_in_a_variant_line_is_an_error(text, where):
+    with pytest.raises(ValueError, match=rf"^{re.escape(where)}: run\.T is given twice$"):
+        parse_config_text(text)
+
+
+def test_a_key_repeated_in_the_overrides_is_an_error():
+    # what --set run.T=5 --T 7 and --set a=1 --set a=2 build
+    for tokens in (["run.T=5", "run.T=7"], ["policy.mu=1", "run.T=5", " policy.mu =1"]):
+        with pytest.raises(ValueError, match="is given twice"):
+            apply_overrides({"run.T": "3"}, tokens)
+    # a key the base map already holds is overridden, once
+    assert apply_overrides({"run.T": "3"}, ["run.T=5"]) == {"run.T": "5"}
+
+
 def test_shipped_presets_have_no_repeated_lines():
     for preset in ("bump_sweep", "chessboard_sweep", "stepdiag_sweep"):
         text = resources.files("bandit_lab").joinpath("presets", f"{preset}.cfg").read_text()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bandit_lab import linalg
-from bandit_lab.kernels import KernelSpec, StatePoint, gram_packed
+from bandit_lab.kernels import KernelSpec, gram_packed
 from bandit_lab.linalg import (
     FactorizationError,
     NearSingularExtensionError,
@@ -121,13 +121,13 @@ def test_kucb_schur_complement_stays_above_lam():
     # k(s, s) + lam - k^T (K + lam I)^{-1} k is at least lam, so its bordering
     # needs no jitter retry: the corner 1/s never exceeds 1/lam, even when one
     # state is played over and over
-    state = StatePoint(np.array([0.3, 0.7]), np.array([0.5]))
+    x, a = np.array([0.3, 0.7]), np.array([0.5])
     for lam in (1e-3, 1.0):
         policy = ExactKernelUcb(
             KernelSpec("gaussian", bandwidth=0.4), lam, ExplorationSchedule()
         )
         for _ in range(200):
-            policy.update(state, 1.0)
+            policy.update(x, a, 1.0)
             assert policy.k_lambda_inverse.matrix[-1, -1] <= (1.0 / lam) * (1.0 + 1e-9)
 
 

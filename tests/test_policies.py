@@ -6,7 +6,7 @@ import pytest
 from bandit_lab import kernels, linalg, policies
 from bandit_lab._grow import GrowableMatrix
 from bandit_lab.dictionary import Dictionary, KorsParams
-from bandit_lab.kernels import KernelSpec, StatePoint, gram_packed
+from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram_packed
 from bandit_lab.linalg import SINGULAR_TOL, SpdInverse, dense_spd_inverse
 from bandit_lab.policies import (
     ExactKernelUcb,
@@ -24,7 +24,8 @@ FIXED = ExplorationSchedule(mode="fixed", beta=1.0)
 
 
 def random_state(rng, ctx_dim=2):
-    return StatePoint(rng.uniform(size=ctx_dim), rng.uniform(size=1))
+    """A random (context, action) pair, as ``update`` takes it."""
+    return rng.uniform(size=ctx_dim), rng.uniform(size=1)
 
 
 def make_projected(gamma, seed=0, lam=1.0, mu=1.0, **kw):
@@ -54,9 +55,9 @@ def dense_ridge_oracle(kernel, points, rewards, queries, lam):
 def test_exact_single_observation_hand_values():
     # k(s,s)=1, lam=1, reward 1: mean = 1/(1+1) = 0.5, var = (1 - 1/2)/1 = 0.5
     policy = ExactKernelUcb(GAUSS, lam=1.0, schedule=FIXED)
-    s = StatePoint(np.array([0.3]), np.array([0.7]))
-    policy.update(s, 1.0)
-    mean, var = policy.scores(s.context, s.action[None, :])
+    x, a = np.array([0.3]), np.array([0.7])
+    policy.update(x, a, 1.0)
+    mean, var = policy.scores(x, a[None, :])
     assert mean == pytest.approx(0.5, abs=1e-12)
     assert var == pytest.approx(0.5, abs=1e-12)
 
@@ -67,14 +68,14 @@ def test_exact_matches_dense_ridge():
         policy = ExactKernelUcb(GAUSS, lam=lam, schedule=FIXED)
         points, rewards = [], []
         for _ in range(25):
-            s = random_state(rng)
+            x, a = random_state(rng)
             r = rng.normal()
-            policy.update(s, r)
-            points.append(s.joint)
+            policy.update(x, a, r)
+            points.append(np.concatenate([x, a]))
             rewards.append(r)
         queries = [random_state(rng) for _ in range(7)]
-        ctx = queries[0].context
-        block = np.vstack([q.action for q in queries])
+        ctx = queries[0][0]
+        block = np.vstack([a for _, a in queries])
         fake = np.hstack([np.broadcast_to(ctx, (7, ctx.size)), block])
         means, var = policy.scores(ctx, block)
         want_m, want_v = dense_ridge_oracle(
@@ -104,7 +105,7 @@ def test_exact_variance_monotone_in_data():
     ctx = np.array([0.4, 0.6])
     _, prev = policy.scores(ctx, queries)
     for _ in range(40):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
         _, var = policy.scores(ctx, queries)
         assert np.all(var <= prev + 1e-9)
         prev = var
@@ -115,11 +116,11 @@ def test_projected_bootstrap_hand_values():
     #   Lam = [[1/(1+1)]] = 0.5, Gam = [1]
     #   mean = 0.5, var = 1/1 + (0.5 - 1) = 0.5
     policy = make_projected(gamma=math.inf)
-    s = StatePoint(np.array([0.3]), np.array([0.7]))
-    policy.update(s, 1.0)
+    x, a = np.array([0.3]), np.array([0.7])
+    policy.update(x, a, 1.0)
     assert policy.lambda_inverse.matrix == pytest.approx(np.array([[0.5]]))
     assert policy.gamma_vec == pytest.approx(np.array([1.0]))
-    mean, var = policy.scores(s.context, s.action[None, :])
+    mean, var = policy.scores(x, a[None, :])
     assert mean == pytest.approx(0.5, abs=1e-12)
     assert var == pytest.approx(0.5, abs=1e-12)
 
@@ -148,10 +149,10 @@ def test_projected_with_saturated_dictionary_equals_exact():
     exact = ExactKernelUcb(GAUSS, lam=2.0, schedule=FIXED)
     proj = make_projected(gamma=math.inf, lam=2.0)
     for _ in range(50):
-        s = random_state(rng)
+        x, a = random_state(rng)
         r = rng.normal()
-        exact.update(s, r)
-        proj.update(s, r)
+        exact.update(x, a, r)
+        proj.update(x, a, r)
     assert proj.dictionary.size == proj.t
     ctx = np.array([0.25, 0.75])
     queries = np.linspace(0, 1, 13)[:, None]
@@ -183,7 +184,7 @@ def test_projected_incremental_state_matches_dense_rebuild():
     rng = np.random.default_rng(3)
     policy = make_projected(gamma=1.5, lam=10.0, mu=2.0, seed=9)
     for _ in range(60):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     assert 1 < policy.dictionary.size < policy.t
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-6
@@ -208,7 +209,7 @@ def test_cross_block_is_exact_past_the_spare_column_switch(monkeypatch):
         policy = make_projected(gamma=0.5, seed=4)
         sizes = set()
         for _ in range(80):
-            policy.update(random_state(rng), rng.normal())
+            policy.update(*random_state(rng), rng.normal())
             sizes.add(policy.dictionary.size)
         return policy, sizes
 
@@ -231,34 +232,120 @@ def test_cross_block_is_exact_past_the_spare_column_switch(monkeypatch):
 
 def test_projected_update_reads_each_state_once(monkeypatch):
     # the sampler scores and admits the state from the K_Z(s) and k(s, s)
-    # that the update computed for itself, so neither is computed twice
-    calls = {"cross_vector": 0, "evaluate": 0}
-    cross_vector, evaluate = Dictionary.cross_vector, policies.evaluate
+    # that the update computed for itself, so neither is computed twice; a
+    # k(s, s) is a column whose block is the state's own row, where an
+    # admission's history column reads a copy of it
+    calls = {"cross_vector": 0, "k_self": 0}
+    cross_vector, column = Dictionary.cross_vector, policies._KernelPolicy._column
 
     def counted_cross_vector(self, *args):
         calls["cross_vector"] += 1
         return cross_vector(self, *args)
 
-    def counted_evaluate(*args):
-        calls["evaluate"] += 1
-        return evaluate(*args)
+    def counted_column(self, block, row):
+        calls["k_self"] += np.shares_memory(block, row)
+        return column(self, block, row)
 
     monkeypatch.setattr(Dictionary, "cross_vector", counted_cross_vector)
-    monkeypatch.setattr(policies, "evaluate", counted_evaluate)
+    monkeypatch.setattr(policies._KernelPolicy, "_column", counted_column)
     rng = np.random.default_rng(12)
     policy = make_projected(gamma=2.0, seed=13)
     admitted = []
     for t in range(40):
         before, size = dict(calls), policy.dictionary.size
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
         per_update = {k: calls[k] - before[k] for k in calls}
         if t == 0:
             # the bootstrap seeds an empty dictionary: no K_Z(s) to compute
-            assert per_update == {"cross_vector": 0, "evaluate": 1}
+            assert per_update == {"cross_vector": 0, "k_self": 1}
         else:
-            assert per_update == {"cross_vector": 1, "evaluate": 1}
+            assert per_update == {"cross_vector": 1, "k_self": 1}
             admitted.append(policy.dictionary.size > size)
     assert any(admitted) and not all(admitted)
+
+
+SELF_KERNEL_SPECS = {
+    "gaussian": GAUSS,
+    "linear": KernelSpec("linear", kappa=math.sqrt(3.0)),
+    "tensor": KernelSpec(
+        "tensor",
+        context_kernel=KernelSpec("gaussian", bandwidth=0.5),
+        action_kernel=KernelSpec("linear", kappa=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SELF_KERNEL_SPECS))
+def test_policies_take_k_s_s_bit_for_bit_from_a_one_by_one_gram(monkeypatch, family):
+    # every policy's k(s, s) is the 1-by-1 gram_packed that evaluate(s, s)
+    # runs, not diag_packed: for the gaussian family the two differ in the
+    # last bit on some states, and the shipped runs' records follow these bits
+    spec = SELF_KERNEL_SPECS[family]
+    seen = []
+    seed, kors_step = Dictionary.seed, policies.kors_step
+    schur = policies.schur_extend_jittered
+
+    def seen_seed(self, row, k_self):
+        seen.append(("seed", k_self))
+        return seed(self, row, k_self)
+
+    def seen_kors_step(d, t, row, kz, k_self, params):
+        seen.append(("kors_step", k_self))
+        return kors_step(d, t, row, kz, k_self, params)
+
+    def seen_schur(inverse, b, c):
+        seen.append(("schur", c))
+        return schur(inverse, b, c)
+
+    monkeypatch.setattr(Dictionary, "seed", seen_seed)
+    monkeypatch.setattr(policies, "kors_step", seen_kors_step)
+    monkeypatch.setattr(policies, "schur_extend_jittered", seen_schur)
+    rng = np.random.default_rng(33)
+    # lam far below one ulp of k(s, s), so kucb's corner k(s, s) + lam shows
+    # the bits of k(s, s); gamma small enough that ekucb admits no anchor
+    # after the first, so every later update only scores its state
+    tiny = 1e-20
+    ekucb = ProjectedKernelUcb(
+        spec, 1.0, KorsParams(mu=1.0, gamma=1e-12), FIXED,
+        np.random.default_rng(34), np.random.default_rng(35),
+    )
+    values = []
+    for t in range(300):
+        x, a = random_state(rng)
+        s = StatePoint(x, a)
+        want = evaluate(spec, s, s)
+        values.append(want)
+        del seen[:]
+        ExactKernelUcb(spec, tiny, FIXED).update(x, a, 0.0)
+        assert seen == [("schur", want + tiny)]
+        del seen[:]
+        ResamplingKernelUcb(
+            spec, 1.0, KorsParams(mu=1.0, gamma=1.0), FIXED,
+            np.random.default_rng(36), np.random.default_rng(37),
+            accumulation_threshold=math.inf,
+        ).update(x, a, 0.0)
+        assert seen == [("seed", want)]
+        del seen[:]
+        ekucb.update(x, a, rng.normal())
+        assert seen == [("seed" if t == 0 else "kors_step", want)]
+    assert ekucb.dictionary.size == 1
+    if family == "gaussian":
+        assert any(v != 1.0 for v in values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["kucb", "ekucb", "cbbkb"])
+def test_update_rejects_a_non_finite_coordinate(name, bad):
+    policy = {
+        "kucb": lambda: ExactKernelUcb(GAUSS, 1.0, FIXED),
+        "ekucb": lambda: make_projected(gamma=2.0),
+        "cbbkb": lambda: make_resampling(4.0),
+    }[name]()
+    policy.update(np.array([0.2, 0.4]), np.array([0.6]), 1.0)
+    for x, a in (([0.2, bad], [0.6]), ([0.2, 0.4], [bad])):
+        with pytest.raises(ValueError, match="finite"):
+            policy.update(np.array(x), np.array(a), 1.0)
+    assert policy.t == 1 and policy.history.shape == (1, 3)
 
 
 @pytest.mark.parametrize(
@@ -300,7 +387,7 @@ def test_kernel_work_per_round(monkeypatch, name, per_round):
         x = rng.uniform(size=2)
         work, before = extra_work(), calls[0]
         idx = policy.choose(x, actions)
-        policy.update(StatePoint(x, actions[idx]), rng.normal())
+        policy.update(x, actions[idx], rng.normal())
         if t > 0 and extra_work() == work:
             assert calls[0] - before == per_round
             checked += 1
@@ -317,16 +404,16 @@ def test_exact_update_reuses_only_the_chosen_state():
     actions = np.linspace(0.0, 1.0, 7)[:, None]
     for _ in range(30):
         x = rng.uniform(size=2)
-        other = StatePoint(x, actions[(policy.choose(x, actions) + 1) % 7])
+        other = actions[(policy.choose(x, actions) + 1) % 7]
         r = rng.normal()
-        policy.update(other, r)
-        unchosen.update(other, r)
+        policy.update(x, other, r)
+        unchosen.update(x, other, r)
     assert np.array_equal(policy.k_lambda_inverse.matrix, unchosen.k_lambda_inverse.matrix)
     for _ in range(10):
         x = rng.uniform(size=2)
-        s = StatePoint(x, actions[policy.choose(x, actions)])
-        policy.update(s, rng.normal())
-        policy.update(s, rng.normal())  # the history grew: no column to reuse
+        a = actions[policy.choose(x, actions)]
+        policy.update(x, a, rng.normal())
+        policy.update(x, a, rng.normal())  # the history grew: no column to reuse
     k = gram_packed(GAUSS, policy.history, policy.history) + np.eye(policy.t)
     assert policy.t == 50
     assert np.allclose(policy.k_lambda_inverse.matrix, np.linalg.inv(k), atol=1e-10)
@@ -368,7 +455,7 @@ def test_kept_correction_is_never_stale(name):
         idx = policy.choose(x, actions)
         if t:
             check()
-        policy.update(StatePoint(x, actions[idx]), rng.normal())
+        policy.update(x, actions[idx], rng.normal())
         check()
         sizes.add(policy.dictionary.size)
         if t == 20:
@@ -408,7 +495,7 @@ def test_correction_is_built_once_per_round(monkeypatch, name, per_round):
         work = (policy.dictionary_size, getattr(policy, "resample_count", 0))
         start = len(seen)
         idx = policy.choose(x, actions)
-        policy.update(StatePoint(x, actions[idx]), rng.normal())
+        policy.update(x, actions[idx], rng.normal())
         work_now = (policy.dictionary_size, getattr(policy, "resample_count", 0))
         if t > 0 and work_now == work and not any(policy.rebuilds.values()):
             calls = seen[start:]
@@ -430,7 +517,7 @@ def test_refactor_is_a_no_op_on_healthy_state():
     resampling = make_resampling(1.5, seed=5, lam=10.0)
     for policy in (projected, resampling):
         for _ in range(40):
-            policy.update(random_state(rng), rng.normal())
+            policy.update(*random_state(rng), rng.normal())
     assert resampling.resample_count >= 2
     ctx = np.array([0.5, 0.5])
     queries = np.linspace(0, 1, 9)[:, None]
@@ -448,9 +535,9 @@ def test_indefinite_admission_recovers_via_dense_rebuild():
     rng = np.random.default_rng(8)
     policy = make_projected(gamma=math.inf, seed=3)
     for _ in range(6):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     policy.lambda_inverse = SpdInverse(policy.lambda_inverse.matrix * 1e9)
-    policy.update(random_state(rng), 0.5)
+    policy.update(*random_state(rng), 0.5)
     assert policy.dictionary.size == 7
     assert policy.rebuilds["indefinite_admission"] == 1
     want = dense_projected_oracle(policy)
@@ -465,7 +552,7 @@ def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
     rng = np.random.default_rng(40)
     policy = make_projected(gamma=1e-12, seed=41)
     for _ in range(6):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     row = np.array([0.5, 0.25, 0.75])  # dyadic, so k(row, row) is exactly 1
     d = policy.dictionary
     d.packed, d.probs, d.steps = np.vstack([row, row]), [1.0, 1.0], [0, 0]
@@ -504,7 +591,7 @@ def test_admission_in_the_jitter_window_rebuilds(monkeypatch):
     rng = np.random.default_rng(8)
     policy = make_projected(gamma=math.inf, seed=3)
     for _ in range(6):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     kors_step = policies.kors_step
 
     def admit_then_drift(d, t, row, kz, k_self, params):
@@ -521,7 +608,7 @@ def test_admission_in_the_jitter_window_rebuilds(monkeypatch):
         return admitted
 
     monkeypatch.setattr(policies, "kors_step", admit_then_drift)
-    policy.update(random_state(rng), 0.5)
+    policy.update(*random_state(rng), 0.5)
     assert policy.dictionary.size == 7
     assert policy.rebuilds == {"singular_update": 0, "indefinite_admission": 1}
     want = dense_projected_oracle(policy)
@@ -533,15 +620,15 @@ def test_singular_rank_one_update_recovers_via_dense_rebuild():
     rng = np.random.default_rng(9)
     policy = make_projected(gamma=1e-12, seed=4)  # no further admissions
     for _ in range(5):
-        policy.update(random_state(rng), rng.normal())
-    s = random_state(rng)
-    kz = policy.dictionary.cross_vector(policy.kernel, s.joint, s.context.size)
+        policy.update(*random_state(rng), rng.normal())
+    x, a = random_state(rng)
+    kz = policy.dictionary.cross_vector(policy.kernel, np.concatenate([x, a]), x.size)
     # scale a negated identity so 1 + kz^T Lam kz lands inside the singular
     # tolerance of the rank-one update
     policy.lambda_inverse = SpdInverse(
         -np.eye(1) * (1.0 - 1e-14) / float(kz @ kz)
     )
-    policy.update(s, -0.25)
+    policy.update(x, a, -0.25)
     assert policy.rebuilds["singular_update"] == 1
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
@@ -564,7 +651,7 @@ def test_resampling_threshold_one_fires_every_round():
     rng = np.random.default_rng(6)
     policy = make_resampling(1.0)
     for _ in range(20):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     assert policy.resample_count == 19  # every post-bootstrap round
 
 
@@ -572,7 +659,7 @@ def test_resampling_never_fires_at_infinite_threshold():
     rng = np.random.default_rng(7)
     policy = make_resampling(math.inf)
     for _ in range(20):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     assert policy.resample_count == 0
     assert policy.dictionary.size == 1  # frozen at the bootstrap anchor
 
@@ -585,10 +672,10 @@ def test_accumulated_variance_sums_the_scored_variances(threshold):
     policy = make_resampling(threshold)
     total = 0.0
     for _ in range(60):
-        s = random_state(rng)
+        x, a = random_state(rng)
         resamples = policy.resample_count
-        var = float(policy.scores(s.context, s.action[None, :])[1][0]) if policy.t else 0.0
-        policy.update(s, rng.normal())
+        var = float(policy.scores(x, a[None, :])[1][0]) if policy.t else 0.0
+        policy.update(x, a, rng.normal())
         total = 0.0 if policy.resample_count > resamples else total + var
         assert policy.accumulated_variance == total
     if math.isinf(threshold):
@@ -601,7 +688,7 @@ def test_resampling_state_consistent_after_resamples():
     rng = np.random.default_rng(8)
     policy = make_resampling(1.5, seed=5, lam=10.0)
     for _ in range(40):
-        policy.update(random_state(rng), rng.normal())
+        policy.update(*random_state(rng), rng.normal())
     assert policy.resample_count >= 2
     assert 1 <= policy.dictionary.size <= policy.t
     want = dense_projected_oracle(policy)
@@ -660,7 +747,7 @@ def test_tensor_kernel_scores_match_dense_posterior(name):
     for _ in range(40):
         x = rng.uniform(size=2)
         a = actions[policy.choose(x, actions)]
-        policy.update(StatePoint(x, a), math.sin(3.0 * x[0]) * a[0] + 0.1 * rng.normal())
+        policy.update(x, a, math.sin(3.0 * x[0]) * a[0] + 0.1 * rng.normal())
     assert policy.history.shape == (40, 3)
     if name != "kucb":
         assert 1 < policy.dictionary.size < policy.t
@@ -686,7 +773,7 @@ def test_uniform_random_policy():
     assert len(set(picks)) > 10
     twin = UniformRandomPolicy(np.random.default_rng(9))
     assert picks[:20] == [twin.choose(np.array([0.1]), actions) for _ in range(20)]
-    policy.update(StatePoint(np.array([0.1]), np.array([0.2])), 0.0)
+    policy.update(np.array([0.1]), np.array([0.2]), 0.0)
     assert policy.t == 1
 
 
