@@ -15,7 +15,7 @@ Four policies share one interface (``choose(context, actions) -> index``,
   complement is not positive (``rebuilds``, by trigger; the shipped presets
   make hundreds of the second kind).
 * ``ResamplingKernelUcb``  a baseline that keeps the dictionary frozen between
-  full resamples triggered by accumulated posterior variance.
+  full resamples triggered by the summed variance of its chosen actions.
 * ``UniformRandomPolicy``  uniform action choice; the regret floor.
 
 The projected posterior with anchors Z, history S, rewards Y uses
@@ -24,22 +24,22 @@ The projected posterior with anchors Z, history S, rewards Y uses
     mean(s) = K_Z(s)^T Lam Gam
     var(s)  = k(s, s) / lam + K_Z(s)^T (Lam - K_ZZ^{-1} / lam) K_Z(s)
 
-and coincides with the exact posterior whenever Z spans the history.  The
-correction Lam - K_ZZ^{-1} / lam is built in ``_variances`` at most once per
-pair of inverses and kept: the resampling update scores its state against
-the one ``choose`` built.  K_ZZ^{-1} / lam is kept beside the dictionary
-inverse it was divided from, and divided again only when that inverse is
-replaced (an admission, ``refactor`` or a resample).  The correction is
-dropped whenever Lam is replaced, by any assignment, and before the rank-one
-update allocates.  Both projected policies rebuild Lam and Gam densely
-through one method, which ``refactor`` and every resample call; a resample's
-anchors and their inverses come from one in-order Cholesky factorization in
+and coincides with the exact posterior whenever Z spans the history.
+``_variances`` builds the correction Lam - K_ZZ^{-1} / lam on each call, once
+a round in ``choose``, whose variances the resampling update reuses;
+K_ZZ^{-1} / lam is kept beside the dictionary inverse it was divided from and
+divided again only when that inverse is replaced (an admission, ``refactor``
+or a resample).  Both projected policies rebuild Lam and Gam densely through
+one method, which ``refactor`` and every resample call; a resample's anchors
+and their inverses come from one in-order Cholesky factorization in
 ``rebuild_dictionary``.
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
 its anchors Z the same way.  ``update`` packs the arrays ``choose`` took into
-that row once; k(s, s) is a 1-by-1 ``gram_packed``, not ``diag_packed``.
+that row once, and takes what ``choose`` scored the row with from one
+hand-off (``_KernelPolicy._scored``).  kucb's k(s, s) is ``diag_packed``'s,
+as ``choose`` scores it; the projected policies' is a 1-by-1 ``gram_packed``.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ class _KernelPolicy:
     """History shared by the kernel policies: packed joint rows and rewards.
 
     Each observed state is stored once, as one (context, action) row of
-    ``history``, packed from the arrays ``update`` is handed.
+    ``history``, packed from the arrays ``update`` is handed.  ``choose``
+    hands the next ``update`` the chosen row and what it scored the row with.
     """
 
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
@@ -186,6 +187,8 @@ class _KernelPolicy:
         self._history: GrowableMatrix | None = None
         self._rewards = GrowableMatrix(np.zeros((0, 1)))
         self._context_dim: int | None = None
+        # the last choice's packed row and scored values, until the next update
+        self._chosen: tuple | None = None
 
     @property
     def t(self) -> int:
@@ -216,6 +219,15 @@ class _KernelPolicy:
         """k(b, s) for each packed row b of ``block``; k(s, s) is a 1-row block."""
         return gram_packed(self.kernel, block, row[None, :], self._context_dim)[:, 0]
 
+    def _hand_off(self, row: np.ndarray, *scored) -> None:
+        """Keep the values ``choose`` scored the chosen state ``row`` with."""
+        self._chosen = (row, scored)
+
+    def _scored(self, row: np.ndarray) -> tuple | None:
+        """The values handed off for ``row``, or None; the first update takes them."""
+        chosen, self._chosen = self._chosen, None
+        return chosen[1] if chosen and chosen[0].tobytes() == row.tobytes() else None
+
     def _store(self, row: np.ndarray, reward: float) -> None:
         self._history.append_row(row)
         self._rewards.append_row(np.array([reward], dtype=float))
@@ -227,9 +239,6 @@ class ExactKernelUcb(_KernelPolicy):
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
         super().__init__(kernel, lam, schedule)
         self.k_lambda_inverse = SpdInverse.empty()
-        # the last choice's packed row, history column (a copy, so the t-by-C
-        # block is freed) and k(q, q), until the next update
-        self._chosen: tuple | None = None
 
     @property
     def dictionary_size(self) -> int:
@@ -260,7 +269,8 @@ class ExactKernelUcb(_KernelPolicy):
             "exact", self.t, self.lam, 0.0, self.kernel.kappa, float(self.t)
         )
         idx = int(np.argmax(means + beta * np.sqrt(var)))
-        self._chosen = (q[idx], np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
+        # a copy of the column, so the t-by-C block is freed
+        self._hand_off(q[idx], np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
         return idx
 
     def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
@@ -268,16 +278,14 @@ class ExactKernelUcb(_KernelPolicy):
 
         When s is the state ``choose`` just picked, its history column and
         k(s, s) are the ones ``choose`` scored it with.  Otherwise, as for an
-        update with no ``choose`` before it, they are computed here: a t-by-1
-        and a 1-by-1 ``gram_packed``.
+        update with no ``choose`` before it, they are computed here, as
+        ``choose`` computes them: a t-by-1 ``gram_packed`` and ``diag_packed``.
         """
         row = self._row(context, action)
-        chosen, self._chosen = self._chosen, None
-        if chosen is not None and chosen[0].tobytes() == row.tobytes():
-            _, kz, k_self = chosen
-        else:
-            kz = self._column(self.history, row)
-            k_self = float(self._column(row[None, :], row)[0])
+        kz, k_self = self._scored(row) or (
+            self._column(self.history, row),
+            float(diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)[0]),
+        )
         self.k_lambda_inverse = schur_extend_jittered(
             self.k_lambda_inverse, kz, k_self + self.lam
         )
@@ -308,11 +316,10 @@ class ProjectedKernelUcb(_KernelPolicy):
         self.rng = policy_rng
         self.dictionary = Dictionary(mu=kors.mu, rng=kors_rng)
         self._cross = GrowableMatrix(np.zeros((0, 0)))  # rows are states: K_SZ
-        # K_ZZ^{-1} / lam, the dictionary inverse it was divided from (held
-        # weakly, so a replaced inverse is freed), and Lam - K_ZZ^{-1} / lam
+        # K_ZZ^{-1} / lam and the dictionary inverse it was divided from (held
+        # weakly, so a replaced inverse is freed)
         self._kzz_scaled: np.ndarray | None = None
         self._kzz_source: weakref.ref | None = None
-        self._correction: np.ndarray | None = None
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
         self._jitter = 1e-10 * kernel.kappa**2
@@ -335,15 +342,6 @@ class ProjectedKernelUcb(_KernelPolicy):
         """K_ZS, anchors by states."""
         return self._cross.view.T
 
-    @property
-    def lambda_inverse(self) -> SpdInverse:
-        return self._lambda_inverse
-
-    @lambda_inverse.setter
-    def lambda_inverse(self, value: SpdInverse) -> None:
-        self._lambda_inverse = value
-        self._correction = None
-
     def scores(
         self, context: np.ndarray, actions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -359,17 +357,15 @@ class ProjectedKernelUcb(_KernelPolicy):
     def _variances(self, kzq: np.ndarray, kdiag: np.ndarray) -> np.ndarray:
         """Guarded posterior variances of the states with anchor columns ``kzq``.
 
-        Lam - K_ZZ^{-1} / lam is built once per pair of inverses and kept until
-        either is replaced; K_ZZ^{-1} / lam once per dictionary inverse.
+        Lam - K_ZZ^{-1} / lam is built on every call and dropped with it;
+        K_ZZ^{-1} / lam only once per dictionary inverse.
         """
         kzz_inverse = self.dictionary.kzz_inverse
         if self._kzz_source is None or self._kzz_source() is not kzz_inverse:
             self._kzz_scaled = kzz_inverse.matrix / self.lam
             self._kzz_source = weakref.ref(kzz_inverse)
-            self._correction = None
-        if self._correction is None:
-            self._correction = self.lambda_inverse.matrix - self._kzz_scaled
-        quad = np.einsum("ij,ij->j", kzq, self._correction @ kzq)
+        correction = self.lambda_inverse.matrix - self._kzz_scaled
+        quad = np.einsum("ij,ij->j", kzq, correction @ kzq)
         return _guard_variances(kdiag / self.lam + quad)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
@@ -384,7 +380,9 @@ class ProjectedKernelUcb(_KernelPolicy):
             self.kernel.kappa,
             float(self.dictionary.size),
         )
-        return int(np.argmax(means + beta * np.sqrt(var)))
+        idx = int(np.argmax(means + beta * np.sqrt(var)))
+        self._hand_off(self._row(context, np.atleast_2d(actions)[idx]), var[idx])
+        return idx
 
     def _bootstrap(self, row: np.ndarray, k_self: float, reward: float) -> None:
         """Admit the first state without a coin, so the sampler stream is unchanged."""
@@ -396,7 +394,6 @@ class ProjectedKernelUcb(_KernelPolicy):
         """No-add branch shared with the resampling baseline."""
         self._cross.append_row(kz)
         self._store(row, reward)
-        self._correction = None  # freed before the update allocates its m x m arrays
         try:
             self.lambda_inverse = sherman_morrison_update(self.lambda_inverse, kz)
             self.gamma_vec = self.gamma_vec + reward * kz
@@ -477,10 +474,10 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
     """Frozen-dictionary variant with variance-triggered full resampling.
 
     Between resamples the dictionary never grows; each round only performs the
-    rank-one update.  The posterior variance of every chosen action is summed,
-    and once the sum since the last resample exceeds threshold - 1 the whole
-    dictionary is redrawn from all past states by leverage-score sampling.  A
-    threshold of 1 therefore resamples every round, and infinity never does.
+    rank-one update.  The variance ``choose`` scored the chosen action with is
+    summed, and once the sum since the last resample exceeds threshold - 1 the
+    whole dictionary is redrawn from all past states by leverage-score
+    sampling.  A threshold of 1 resamples every round, and infinity never does.
     A resample costs O(t m^2): ``rebuild_dictionary`` factors the drawn states'
     gram once, in order, dropping a state whose pivot squared is below
     ``SINGULAR_TOL``, and Lam and Gam are rebuilt as in ``refactor``.
@@ -509,10 +506,11 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             self._bootstrap(row, float(self._column(row[None, :], row)[0]), reward)
             return
         kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
-        kdiag = diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)
-        var_s = float(self._variances(kz.reshape(-1, 1), kdiag)[0])
+        (var_s,) = self._scored(row) or self._variances(
+            kz[:, None], diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)
+        )
         self._append_state(row, kz, reward)
-        self.accumulated_variance += var_s
+        self.accumulated_variance += float(var_s)
         if self.accumulated_variance > self.accumulation_threshold - 1.0:
             self._resample()
 

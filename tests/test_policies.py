@@ -277,9 +277,11 @@ SELF_KERNEL_SPECS = {
 
 @pytest.mark.parametrize("family", sorted(SELF_KERNEL_SPECS))
 def test_policies_take_k_s_s_bit_for_bit_from_a_one_by_one_gram(monkeypatch, family):
-    # every policy's k(s, s) is the 1-by-1 gram_packed that evaluate(s, s)
-    # runs, not diag_packed: for the gaussian family the two differ in the
-    # last bit on some states, and the shipped runs' records follow these bits
+    # the projected policies' k(s, s) is the 1-by-1 gram_packed that
+    # evaluate(s, s) runs, not diag_packed: for the gaussian family the two
+    # differ in the last bit on some states, and the shipped runs' records
+    # follow these bits.  kucb's is diag_packed's, as choose scores it, so an
+    # update borders with the same k(s, s) with or without a choose before it
     spec = SELF_KERNEL_SPECS[family]
     seen = []
     seed, kors_step = Dictionary.seed, policies.kors_step
@@ -316,8 +318,16 @@ def test_policies_take_k_s_s_bit_for_bit_from_a_one_by_one_gram(monkeypatch, fam
         want = evaluate(spec, s, s)
         values.append(want)
         del seen[:]
-        ExactKernelUcb(spec, tiny, FIXED).update(x, a, 0.0)
-        assert seen == [("schur", want + tiny)]
+        # choose scores a block of candidates; the update of its pick with
+        # no choose before it must border with the same k(s, s)
+        candidates = a + np.linspace(0.0, 0.6, 7)[:, None]
+        chosen = ExactKernelUcb(spec, tiny, FIXED)
+        pick = candidates[chosen.choose(x, candidates)]
+        chosen.update(x, pick, 0.0)
+        ExactKernelUcb(spec, tiny, FIXED).update(x, pick, 0.0)
+        row = np.concatenate([x, pick])[None, :]
+        k_diag = kernels.diag_packed(spec, row, context_dim=x.size)[0]
+        assert seen == [("schur", k_diag + tiny)] * 2
         del seen[:]
         ResamplingKernelUcb(
             spec, 1.0, KorsParams(mu=1.0, gamma=1.0), FIXED,
@@ -433,9 +443,10 @@ def fresh_scores(policy, context, actions):
 
 @pytest.mark.parametrize("name", ["ekucb", "cbkb", "cbbkb"])
 def test_kept_correction_is_never_stale(name):
-    # the kept Lam - K_ZZ^{-1} / lam and K_ZZ^{-1} / lam must follow every
-    # replacement of either inverse: rank-one updates, admissions, resamples,
-    # a forced refactor and a direct assignment
+    # the kept half of the correction, K_ZZ^{-1} / lam, must follow every
+    # replacement of the dictionary inverse, and scores every replacement of
+    # Lam: rank-one updates, admissions, resamples, a forced refactor and a
+    # direct assignment
     policy = {
         "ekucb": lambda: make_projected(gamma=2.0, seed=18),
         "cbkb": lambda: make_resampling(1.0, seed=19),
@@ -469,17 +480,18 @@ def test_kept_correction_is_never_stale(name):
         assert policy.resample_count >= 5
 
 
-@pytest.mark.parametrize("name, per_round", [("ekucb", 1), ("cbbkb", 2)])
-def test_correction_is_built_once_per_round(monkeypatch, name, per_round):
-    # a round that neither admits nor resamples scores against one
-    # Lam - K_ZZ^{-1} / lam: the resampling update reuses the one its choose
-    # built; and K_ZZ^{-1} / lam is divided once per dictionary inverse
-    seen = []  # (correction, K_ZZ^{-1} / lam, dictionary inverse) per call
+@pytest.mark.parametrize("name", ["ekucb", "cbbkb"])
+def test_correction_is_built_once_per_round(monkeypatch, name):
+    # a round that neither admits nor resamples builds one
+    # Lam - K_ZZ^{-1} / lam, in choose's one _variances call: the resampling
+    # update takes the chosen variance from choose's hand-off; and
+    # K_ZZ^{-1} / lam is divided once per dictionary inverse
+    seen = []  # (K_ZZ^{-1} / lam, dictionary inverse) per call
     variances = ProjectedKernelUcb._variances
 
     def spy(self, kzq, kdiag):
         out = variances(self, kzq, kdiag)
-        seen.append((self._correction, self._kzz_scaled, self.dictionary.kzz_inverse))
+        seen.append((self._kzz_scaled, self.dictionary.kzz_inverse))
         return out
 
     monkeypatch.setattr(ProjectedKernelUcb, "_variances", spy)
@@ -498,13 +510,11 @@ def test_correction_is_built_once_per_round(monkeypatch, name, per_round):
         policy.update(x, actions[idx], rng.normal())
         work_now = (policy.dictionary_size, getattr(policy, "resample_count", 0))
         if t > 0 and work_now == work and not any(policy.rebuilds.values()):
-            calls = seen[start:]
-            assert len(calls) == per_round
-            assert all(c[0] is calls[0][0] for c in calls)
+            assert len(seen) - start == 1
             checked += 1
     assert checked >= 10
     scaled_of = {}
-    for _, scaled, kzz_inverse in seen:
+    for scaled, kzz_inverse in seen:
         assert scaled_of.setdefault(id(kzz_inverse), scaled) is scaled
     assert len({id(s) for s in scaled_of.values()}) == len(scaled_of) > 1
 
@@ -635,11 +645,11 @@ def test_singular_rank_one_update_recovers_via_dense_rebuild():
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
 
 
-def make_resampling(threshold, seed=0, gamma=20.0, lam=1.0):
+def make_resampling(threshold, seed=0, gamma=20.0, lam=1.0, mu=1.0):
     return ResamplingKernelUcb(
         GAUSS,
         lam,
-        KorsParams(mu=1.0, gamma=gamma),
+        KorsParams(mu=mu, gamma=gamma),
         FIXED,
         policy_rng=np.random.default_rng(seed),
         kors_rng=np.random.default_rng(seed + 1),
@@ -666,8 +676,9 @@ def test_resampling_never_fires_at_infinite_threshold():
 
 @pytest.mark.parametrize("threshold", [math.inf, 4.0])
 def test_accumulated_variance_sums_the_scored_variances(threshold):
-    # update takes the chosen state's variance from its one K_Z(s) column; it
-    # must be, bit for bit, what scores reports just before the update
+    # an update with no choose before it scores its state's variance from its
+    # one K_Z(s) column; it must be, bit for bit, what scores reports just
+    # before the update
     rng = np.random.default_rng(9)
     policy = make_resampling(threshold)
     total = 0.0
@@ -682,6 +693,67 @@ def test_accumulated_variance_sums_the_scored_variances(threshold):
         assert policy.resample_count == 0
     else:
         assert policy.resample_count >= 2
+
+
+@pytest.mark.parametrize("threshold", [1.0, math.inf, 4.0], ids=["cbkb", "inf", "4"])
+def test_accumulated_variance_sums_what_choose_scored(monkeypatch, threshold):
+    # after choose, update adds the variance choose scored its pick with,
+    # bit for bit; a re-score of the one chosen column can round differently
+    # from the column of choose's whole block
+    scored = []
+    scores = ProjectedKernelUcb.scores
+
+    def spy(self, context, actions):
+        out = scores(self, context, actions)
+        scored.append(out[1])
+        return out
+
+    monkeypatch.setattr(ProjectedKernelUcb, "scores", spy)
+    policy = make_resampling(threshold, seed=22, gamma=10.0, lam=10.0, mu=10.0)
+    rng = np.random.default_rng(23)
+    actions = np.linspace(0.0, 1.0, 20)[:, None]
+    total = 0.0
+    for t in range(250):
+        x = rng.uniform(size=2)
+        resamples = policy.resample_count
+        idx = policy.choose(x, actions)
+        var = scored[-1][idx] if t else 0.0  # the first choice scores nothing
+        policy.update(x, actions[idx], rng.normal())
+        total = 0.0 if policy.resample_count > resamples else total + var
+        assert policy.accumulated_variance == total
+    assert len(scored) == 249
+    if threshold == 4.0:
+        assert policy.resample_count >= 2
+
+
+def test_resampling_update_rescores_a_state_choose_did_not_pick():
+    # the resampling update takes choose's variance only for the state choose
+    # picked and only once; any other update scores its own state, bit for
+    # bit as an update with no choose before it
+    rng = np.random.default_rng(24)
+    policy, unchosen = make_resampling(4.0, seed=25), make_resampling(4.0, seed=25)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+    for _ in range(40):
+        x = rng.uniform(size=2)
+        other = actions[(policy.choose(x, actions) + 1) % 7]
+        r = rng.normal()
+        policy.update(x, other, r)
+        unchosen.update(x, other, r)
+        assert policy.accumulated_variance == unchosen.accumulated_variance
+    assert policy.resample_count == unchosen.resample_count >= 2
+    assert np.array_equal(policy.lambda_inverse.matrix, unchosen.lambda_inverse.matrix)
+    rescored = 0
+    for _ in range(10):
+        x = rng.uniform(size=2)
+        a = actions[policy.choose(x, actions)]
+        policy.update(x, a, rng.normal())
+        before, resamples = policy.accumulated_variance, policy.resample_count
+        var = float(policy.scores(x, a[None, :])[1][0])
+        policy.update(x, a, rng.normal())  # the hand-off is spent: a re-score
+        if policy.resample_count == resamples:
+            assert policy.accumulated_variance == before + var
+            rescored += 1
+    assert rescored >= 3
 
 
 def test_resampling_state_consistent_after_resamples():
