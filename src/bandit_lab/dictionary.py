@@ -18,9 +18,10 @@ estimator used here is
 which is the augmented-dictionary form (s appended at weight 1) reduced by one
 block elimination; tests check the two agree.  The 1.5 is KORS's 1 + eps
 with eps fixed at 0.5, since eps only rescales gamma.  The matrix
-(S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, so a
-score costs O(m^2) after O(m) kernel evaluations.  Both are written once and
-shared: ``leverage_estimate`` is tau for one state or for a whole history (the
+(S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, and
+sqrt(p_i) is kept beside p_i, so a score costs O(m^2) after O(m) kernel
+evaluations and derives no weight.  Both are written once and shared:
+``leverage_estimate`` is tau for one state or for a whole history (the
 resampling baseline scores every past state with it), and
 ``dense_score_inverse`` builds the score inverse from scratch for a rebuilt
 dictionary and for a policy's drift recovery alike.
@@ -82,12 +83,12 @@ class KorsParams:
 class Dictionary:
     """Anchor set, stored as packed joint rows, with maintained inverse state.
 
-    ``packed`` holds one (context, action) row per anchor, in admission order.
-    ``kzz_inverse`` inverts the plain anchor gram K_ZZ (used by the projected
-    variance correction); ``score_inverse`` inverts S K_ZZ S + mu I (used by
-    the leverage estimator).  Both are extended one row at a time as anchors
-    are admitted.  ``rejected_duplicates`` counts candidates whose admission
-    would have made K_ZZ numerically singular; they are dropped, not merged.
+    ``packed`` holds one (context, action) row per anchor, in admission order,
+    and ``sqrt_probs`` the roots of their ``probs``.  ``kzz_inverse`` inverts
+    K_ZZ (for the projected variance correction); ``score_inverse`` inverts
+    S K_ZZ S + mu I (for the leverage estimator).  All grow as anchors are
+    admitted.  ``rejected_duplicates`` counts candidates whose admission would
+    have made K_ZZ numerically singular; they are dropped, not merged.
     """
 
     mu: float
@@ -98,10 +99,12 @@ class Dictionary:
     kzz_inverse: SpdInverse = field(default_factory=SpdInverse.empty)
     score_inverse: SpdInverse = field(default_factory=SpdInverse.empty)
     rejected_duplicates: int = 0
+    sqrt_probs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
             raise ValueError("mu must be positive")
+        self.sqrt_probs = np.sqrt(self.probs)
         if not (
             self.packed.shape[0]
             == len(self.probs)
@@ -130,16 +133,17 @@ class Dictionary:
         except NearSingularExtensionError:
             self.rejected_duplicates += 1
             return False
-        scale = 1.0 / math.sqrt(prob)
-        weights = 1.0 / np.sqrt(np.asarray(self.probs)) if self.size else np.zeros(0)
+        root = math.sqrt(prob)
+        scale = 1.0 / root
         self.score_inverse = schur_extend(
             self.score_inverse,
-            scale * weights * kz,
+            scale * (1.0 / self.sqrt_probs) * kz,
             k_self * scale**2 + self.mu,
         )
         self.kzz_inverse = new_kzz
         self.packed = np.vstack([self.packed.reshape(-1, row.size), row])
         self.probs.append(prob)
+        self.sqrt_probs = np.append(self.sqrt_probs, root)
         self.steps.append(step)
         return True
 
@@ -166,7 +170,7 @@ def leverage_score(d: Dictionary, kz: np.ndarray, k_self: float, params: KorsPar
     """Estimated ridge leverage score tau from K_Z(s) = ``kz`` and k(s, s) = ``k_self``."""
     if params.mu != d.mu:
         raise ValueError("params.mu differs from the dictionary's mu")
-    v = kz / np.sqrt(np.asarray(d.probs))
+    v = kz / d.sqrt_probs
     r = float(v @ (d.score_inverse.matrix @ v))
     return float(leverage_estimate(k_self, r, params))
 

@@ -36,10 +36,10 @@ and their inverses come from one in-order Cholesky factorization in
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
-its anchors Z the same way.  ``update`` packs the arrays ``choose`` took into
-that row once, and takes what ``choose`` scored the row with from one
-hand-off (``_KernelPolicy._scored``).  kucb's k(s, s) is ``diag_packed``'s,
-as ``choose`` scores it; the projected policies' is a 1-by-1 ``gram_packed``.
+its anchors Z the same way.  Only ``update`` packs that row; ``choose`` hands
+it what the chosen state was scored with, keyed by the row's bytes
+(``_KernelPolicy._scored``).  kucb's k(s, s) is ``diag_packed``'s, as
+``choose`` scores it; the projected policies' is a 1-by-1 ``gram_packed``.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class _KernelPolicy:
 
     Each observed state is stored once, as one (context, action) row of
     ``history``, packed from the arrays ``update`` is handed.  ``choose``
-    hands the next ``update`` the chosen row and what it scored the row with.
+    hands it what it scored the chosen state with, keyed by the row's bytes.
     """
 
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
@@ -187,7 +187,7 @@ class _KernelPolicy:
         self._history: GrowableMatrix | None = None
         self._rewards = GrowableMatrix(np.zeros((0, 1)))
         self._context_dim: int | None = None
-        # the last choice's packed row and scored values, until the next update
+        # the last choice's row bytes and scored values, until the next update
         self._chosen: tuple | None = None
 
     @property
@@ -219,14 +219,14 @@ class _KernelPolicy:
         """k(b, s) for each packed row b of ``block``; k(s, s) is a 1-row block."""
         return gram_packed(self.kernel, block, row[None, :], self._context_dim)[:, 0]
 
-    def _hand_off(self, row: np.ndarray, *scored) -> None:
-        """Keep the values ``choose`` scored the chosen state ``row`` with."""
-        self._chosen = (row, scored)
+    def _hand_off(self, key: bytes, *scored) -> None:
+        """Keep what ``choose`` scored the chosen state with, keyed by its row's bytes."""
+        self._chosen = (key, scored)
 
     def _scored(self, row: np.ndarray) -> tuple | None:
         """The values handed off for ``row``, or None; the first update takes them."""
         chosen, self._chosen = self._chosen, None
-        return chosen[1] if chosen and chosen[0].tobytes() == row.tobytes() else None
+        return chosen[1] if chosen and chosen[0] == row.tobytes() else None
 
     def _store(self, row: np.ndarray, reward: float) -> None:
         self._history.append_row(row)
@@ -270,7 +270,7 @@ class ExactKernelUcb(_KernelPolicy):
         )
         idx = int(np.argmax(means + beta * np.sqrt(var)))
         # a copy of the column, so the t-by-C block is freed
-        self._hand_off(q[idx], np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
+        self._hand_off(q[idx].tobytes(), np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
         return idx
 
     def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
@@ -381,7 +381,8 @@ class ProjectedKernelUcb(_KernelPolicy):
             float(self.dictionary.size),
         )
         idx = int(np.argmax(means + beta * np.sqrt(var)))
-        self._hand_off(self._row(context, np.atleast_2d(actions)[idx]), var[idx])
+        action = np.asarray(np.atleast_2d(actions)[idx], dtype=float)
+        self._hand_off(np.asarray(context, dtype=float).tobytes() + action.tobytes(), var[idx])
         return idx
 
     def _bootstrap(self, row: np.ndarray, k_self: float, reward: float) -> None:
@@ -518,7 +519,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         # leverage-score estimates of all past states under the current anchors
         d = self.dictionary
         kdiag = diag_packed(self.kernel, self.history, context_dim=self._context_dim)
-        weights = 1.0 / np.sqrt(np.asarray(d.probs))
+        weights = 1.0 / d.sqrt_probs
         v = self._cross.view * weights[None, :]
         r = np.einsum("ij,ij->i", v @ d.score_inverse.matrix, v)
         tau = leverage_estimate(kdiag, r, self.kors)

@@ -404,7 +404,55 @@ def test_kernel_work_per_round(monkeypatch, name, per_round):
     assert checked >= 10
 
 
-def test_exact_update_reuses_only_the_chosen_state():
+@pytest.mark.parametrize("name", ["kucb", "ekucb", "cbkb", "cbbkb"])
+def test_only_update_packs_the_state(monkeypatch, name):
+    # choose hands off the chosen state's bytes and packs no row; each
+    # update packs its own state's row once
+    calls = [0]
+    row = policies._KernelPolicy._row
+
+    def counted(self, context, action):
+        calls[0] += 1
+        return row(self, context, action)
+
+    monkeypatch.setattr(policies._KernelPolicy, "_row", counted)
+    policy = {
+        "kucb": lambda: ExactKernelUcb(GAUSS, 1.0, FIXED),
+        "ekucb": lambda: make_projected(gamma=2.0, seed=26),
+        "cbkb": lambda: make_resampling(1.0, seed=27),
+        "cbbkb": lambda: make_resampling(4.0, seed=28),
+    }[name]()
+    rng = np.random.default_rng(29)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+    for _ in range(30):
+        x = rng.uniform(size=2)
+        before = calls[0]
+        idx = policy.choose(x, actions)
+        assert calls[0] == before
+        policy.update(x, actions[idx], rng.normal())
+        assert calls[0] == before + 1
+
+
+def check_hand_off_is_keyed_by_value(monkeypatch, policy, rng):
+    # the chosen state handed back as a Python list, or as the float32 arrays
+    # choose took, still matches; another action of the same context misses
+    hits, scored = [], policies._KernelPolicy._scored
+
+    def spy(self, row):
+        out = scored(self, row)
+        hits.append(out is not None)
+        return out
+
+    monkeypatch.setattr(policies._KernelPolicy, "_scored", spy)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+    for cast in (lambda v: v.tolist(), lambda v: v.astype(np.float32)):
+        x, grid = cast(rng.uniform(size=2)), cast(actions)
+        policy.update(x, grid[policy.choose(x, grid)], rng.normal())
+        policy.update(x, grid[(policy.choose(x, grid) + 1) % 7], rng.normal())
+    assert hits == [True, False, True, False]
+
+
+def test_exact_update_reuses_only_the_chosen_state(monkeypatch):
     # kucb's update borders with the column and k(q, q) that choose scored,
     # but only for the state choose picked and only once; any other update
     # computes its own, bit for bit as an update with no choose before it
@@ -427,6 +475,7 @@ def test_exact_update_reuses_only_the_chosen_state():
     k = gram_packed(GAUSS, policy.history, policy.history) + np.eye(policy.t)
     assert policy.t == 50
     assert np.allclose(policy.k_lambda_inverse.matrix, np.linalg.inv(k), atol=1e-10)
+    check_hand_off_is_keyed_by_value(monkeypatch, policy, rng)
 
 
 def fresh_scores(policy, context, actions):
@@ -539,6 +588,34 @@ def test_refactor_is_a_no_op_on_healthy_state():
         assert np.allclose(before[1], after[1], atol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["ekucb", "cbbkb"])
+def test_kept_sqrt_probs_are_the_roots_of_probs(name):
+    # the dictionary's kept sqrt(p) equals, bit for bit, the roots of its
+    # probs after online admissions, a refactor and a resample's
+    # rebuild_dictionary
+    policy = {
+        "ekucb": lambda: make_projected(gamma=2.0, seed=30),
+        "cbbkb": lambda: make_resampling(3.0, seed=31, gamma=2.0),
+    }[name]()
+    rng = np.random.default_rng(32)
+
+    def check():
+        d = policy.dictionary
+        assert np.array_equal(d.sqrt_probs, np.sqrt(np.asarray(d.probs)))
+
+    for t in range(60):
+        policy.update(*random_state(rng), rng.normal())
+        check()
+        if t % 20 == 19:
+            policy.refactor()
+            check()
+    assert min(policy.dictionary.probs) < 1.0
+    if name == "ekucb":
+        assert policy.dictionary.size >= 5
+    else:
+        assert policy.resample_count >= 2
+
+
 def test_indefinite_admission_recovers_via_dense_rebuild():
     # a badly drifted Lam estimate makes the bordering step indefinite; the
     # update must rebuild instead of raising, leaving consistent state behind
@@ -566,6 +643,7 @@ def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
     row = np.array([0.5, 0.25, 0.75])  # dyadic, so k(row, row) is exactly 1
     d = policy.dictionary
     d.packed, d.probs, d.steps = np.vstack([row, row]), [1.0, 1.0], [0, 0]
+    d.sqrt_probs = np.ones(2)
     policy._cross = GrowableMatrix(gram_packed(GAUSS, policy.history, d.packed))
     kzz = gram_packed(GAUSS, d.packed, d.packed)
     assert np.array_equal(kzz, np.ones((2, 2)))
@@ -726,7 +804,7 @@ def test_accumulated_variance_sums_what_choose_scored(monkeypatch, threshold):
         assert policy.resample_count >= 2
 
 
-def test_resampling_update_rescores_a_state_choose_did_not_pick():
+def test_resampling_update_rescores_a_state_choose_did_not_pick(monkeypatch):
     # the resampling update takes choose's variance only for the state choose
     # picked and only once; any other update scores its own state, bit for
     # bit as an update with no choose before it
@@ -754,6 +832,7 @@ def test_resampling_update_rescores_a_state_choose_did_not_pick():
             assert policy.accumulated_variance == before + var
             rescored += 1
     assert rescored >= 3
+    check_hand_off_is_keyed_by_value(monkeypatch, policy, rng)
 
 
 def test_resampling_state_consistent_after_resamples():
