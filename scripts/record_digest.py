@@ -69,8 +69,19 @@ def record_fields(config, record) -> list:
     ]
 
 
-def digest(workload: str) -> dict:
-    configs = [config for _, config in workloads.build(workload)]
+def digest(workload: str, horizon: int | None = None, policies=None) -> dict:
+    """``digest_configs`` over a workload's jobs, cut at ``horizon``, of ``policies``."""
+    return digest_configs(
+        [
+            config
+            for _, config in workloads.build(workload, horizon)
+            if policies is None or config.policy in policies
+        ]
+    )
+
+
+def digest_configs(configs) -> dict:
+    """Run counts, regret per round and the SHA-256 over the records of ``configs``."""
     sha = hashlib.sha256()
     runs = completed = rounds = 0
     regret = 0.0

@@ -149,8 +149,11 @@ def run_single(config: RunConfig, seed: int) -> RunRecord:
     record.rebuilds = sum(getattr(policy, "rebuilds", {}).values())
     record.resamples = getattr(policy, "resample_count", 0)
     record.rejected_duplicates = getattr(policy, "rejected_duplicates", 0)
-    if config.dump_dictionary and hasattr(policy, "dictionary_rows"):
-        record.dictionary_rows = policy.dictionary_rows()
+    if config.dump_dictionary and hasattr(policy, "dictionary"):
+        d = policy.dictionary  # the columns emit_outputs' header names
+        record.dictionary_rows = [
+            (i, d.steps[i], d.probs[i], *d.packed[i].tolist()) for i in range(d.size)
+        ]
     return record
 
 

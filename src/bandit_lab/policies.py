@@ -36,10 +36,12 @@ and their inverses come from one in-order Cholesky factorization in
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
-its anchors Z the same way.  Only ``update`` packs that row; ``choose`` hands
-it what the chosen state was scored with, keyed by the row's bytes
-(``_KernelPolicy._scored``).  kucb's k(s, s) is ``diag_packed``'s, as
-``choose`` scores it; the projected policies' is a 1-by-1 ``gram_packed``.
+its anchors Z the same way.  Every kernel call goes through ``_gram`` or
+``_diag``, bound to the policy's kernel and to the size of the first context
+it packs; a context of another size is an error.  Only ``update`` packs a
+state's own row; ``choose`` hands it what the state was scored with, keyed by
+the row's bytes (``_KernelPolicy._scored``).  kucb's k(s, s) is ``_diag``'s,
+as ``choose`` scores it; the projected policies' is a 1-by-1 ``_gram``.
 """
 
 from __future__ import annotations
@@ -157,25 +159,13 @@ def _guard_variances(var: np.ndarray) -> np.ndarray:
     return np.maximum(var, 0.0)
 
 
-def _query_block(context: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, int]:
-    """The candidates' packed (context, action) rows, and the context dimension."""
-    context = np.asarray(context, dtype=float).reshape(-1)
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    if actions.shape[0] == 0:
-        raise ValueError("no candidate actions")
-    dx = context.shape[0]
-    q = np.empty((actions.shape[0], dx + actions.shape[1]))
-    q[:, :dx] = context
-    q[:, dx:] = actions
-    return q, dx
-
-
 class _KernelPolicy:
     """History shared by the kernel policies: packed joint rows and rewards.
 
     Each observed state is stored once, as one (context, action) row of
-    ``history``, packed from the arrays ``update`` is handed.  ``choose``
-    hands it what it scored the chosen state with, keyed by the row's bytes.
+    ``history``, packed from the arrays ``update`` is handed; ``_gram`` and
+    ``_diag`` split rows at the first packed context's size.  ``choose`` hands
+    ``update`` what it scored the chosen state with, keyed by the row's bytes.
     """
 
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
@@ -204,20 +194,48 @@ class _KernelPolicy:
             return np.zeros((0, 0))
         return self._history.view
 
+    def _split(self, context: np.ndarray) -> int:
+        """The context size, learned from the first context; later ones must match it."""
+        if self._context_dim is None:
+            self._context_dim = context.size
+        elif context.size != self._context_dim:
+            raise ValueError(f"context has {context.size} coordinates, not {self._context_dim}")
+        return self._context_dim
+
+    def _query_block(self, context: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """The candidates' packed (context, action) rows."""
+        context = np.asarray(context, dtype=float).reshape(-1)
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        if actions.shape[0] == 0:
+            raise ValueError("no candidate actions")
+        dx = self._split(context)
+        q = np.empty((actions.shape[0], dx + actions.shape[1]))
+        q[:, :dx] = context
+        q[:, dx:] = actions
+        return q
+
     def _row(self, context: np.ndarray, action: np.ndarray) -> np.ndarray:
         """The packed row of (context, action); the first call sizes the history."""
         context = np.asarray(context, dtype=float).reshape(-1)
         row = np.concatenate([context, np.asarray(action, dtype=float).reshape(-1)])
         if not np.isfinite(row).all():
             raise ValueError("state coordinates must be finite")
+        self._split(context)
         if self._history is None:
-            self._context_dim = context.size
             self._history = GrowableMatrix(np.zeros((0, row.size)))
         return row
 
+    def _gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """k(a_i, b_j) for the packed rows of ``a`` and ``b``."""
+        return gram_packed(self.kernel, a, b, self._context_dim)
+
+    def _diag(self, a: np.ndarray) -> np.ndarray:
+        """k(a_i, a_i) for the packed rows of ``a``."""
+        return diag_packed(self.kernel, a, self._context_dim)
+
     def _column(self, block: np.ndarray, row: np.ndarray) -> np.ndarray:
         """k(b, s) for each packed row b of ``block``; k(s, s) is a 1-row block."""
-        return gram_packed(self.kernel, block, row[None, :], self._context_dim)[:, 0]
+        return self._gram(block, row[None, :])[:, 0]
 
     def _hand_off(self, key: bytes, *scored) -> None:
         """Keep what ``choose`` scored the chosen state with, keyed by its row's bytes."""
@@ -248,14 +266,13 @@ class ExactKernelUcb(_KernelPolicy):
         self, context: np.ndarray, actions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance for every candidate action."""
-        q, ctx_dim = _query_block(context, actions)
-        _, _, means, var = self._posterior(q, ctx_dim)
+        _, _, means, var = self._posterior(self._query_block(context, actions))
         return means, var
 
-    def _posterior(self, q: np.ndarray, ctx_dim: int) -> tuple:
+    def _posterior(self, q: np.ndarray) -> tuple:
         """The candidates' history columns K_S(q), their k(q, q), means and variances."""
-        kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
-        cross = gram_packed(self.kernel, self.history, q, context_dim=ctx_dim)
+        kdiag = self._diag(q)
+        cross = self._gram(self.history, q)
         alpha = self.k_lambda_inverse.matrix @ self.rewards
         means = cross.T @ alpha
         quad = np.einsum("ij,ij->j", cross, self.k_lambda_inverse.matrix @ cross)
@@ -263,8 +280,8 @@ class ExactKernelUcb(_KernelPolicy):
         return cross, kdiag, means, _guard_variances(var)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
-        q, ctx_dim = _query_block(context, actions)
-        cross, kdiag, means, var = self._posterior(q, ctx_dim)
+        q = self._query_block(context, actions)
+        cross, kdiag, means, var = self._posterior(q)
         beta = self.schedule.value(
             "exact", self.t, self.lam, 0.0, self.kernel.kappa, float(self.t)
         )
@@ -279,12 +296,11 @@ class ExactKernelUcb(_KernelPolicy):
         When s is the state ``choose`` just picked, its history column and
         k(s, s) are the ones ``choose`` scored it with.  Otherwise, as for an
         update with no ``choose`` before it, they are computed here, as
-        ``choose`` computes them: a t-by-1 ``gram_packed`` and ``diag_packed``.
+        ``choose`` computes them: a t-by-1 ``_gram`` and ``_diag``.
         """
         row = self._row(context, action)
         kz, k_self = self._scored(row) or (
-            self._column(self.history, row),
-            float(diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)[0]),
+            self._column(self.history, row), float(self._diag(row[None, :])[0])
         )
         self.k_lambda_inverse = schur_extend_jittered(
             self.k_lambda_inverse, kz, k_self + self.lam
@@ -348,11 +364,10 @@ class ProjectedKernelUcb(_KernelPolicy):
         """Projected posterior mean and variance for every candidate."""
         if self.dictionary.size == 0:
             raise ValueError("no scores before the bootstrap round")
-        q, ctx_dim = _query_block(context, actions)
-        kzq = gram_packed(self.kernel, self.dictionary.packed, q, context_dim=ctx_dim)
-        kdiag = diag_packed(self.kernel, q, context_dim=ctx_dim)
+        q = self._query_block(context, actions)
+        kzq = self._gram(self.dictionary.packed, q)
         means = kzq.T @ (self.lambda_inverse.matrix @ self.gamma_vec)
-        return means, self._variances(kzq, kdiag)
+        return means, self._variances(kzq, self._diag(q))
 
     def _variances(self, kzq: np.ndarray, kdiag: np.ndarray) -> np.ndarray:
         """Guarded posterior variances of the states with anchor columns ``kzq``.
@@ -429,7 +444,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         if self.t == 0:
             self._bootstrap(row, k_self, reward)
             return
-        kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
+        kz = self._column(self.dictionary.packed, row)
         self._append_state(row, kz, reward)
         before = self.dictionary.size
         if kors_step(self.dictionary, self.t - 1, row, kz, k_self, self.kors):
@@ -451,24 +466,11 @@ class ProjectedKernelUcb(_KernelPolicy):
     def _dense_posterior(self) -> np.ndarray:
         """Rebuild Lam and Gam from the cross block; returns the anchor gram K_ZZ."""
         kzs = self.cross
-        kzz = gram_packed(
-            self.kernel,
-            self.dictionary.packed,
-            self.dictionary.packed,
-            context_dim=self._context_dim,
-        )
+        kzz = self._gram(self.dictionary.packed, self.dictionary.packed)
         base = kzs @ kzs.T + self.lam * kzz
         self.lambda_inverse = dense_spd_inverse(base, jitter=self._jitter)
         self.gamma_vec = kzs @ self.rewards
         return kzz
-
-    def dictionary_rows(self) -> list[tuple]:
-        """(anchor index, admission step, inclusion prob, joint coords...)."""
-        d = self.dictionary
-        return [
-            (i, d.steps[i], d.probs[i], *d.packed[i].tolist())
-            for i in range(d.size)
-        ]
 
 
 class ResamplingKernelUcb(ProjectedKernelUcb):
@@ -506,10 +508,8 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         if self.t == 0:
             self._bootstrap(row, float(self._column(row[None, :], row)[0]), reward)
             return
-        kz = self.dictionary.cross_vector(self.kernel, row, self._context_dim)
-        (var_s,) = self._scored(row) or self._variances(
-            kz[:, None], diag_packed(self.kernel, row[None, :], context_dim=self._context_dim)
-        )
+        kz = self._column(self.dictionary.packed, row)
+        (var_s,) = self._scored(row) or self._variances(kz[:, None], self._diag(row[None, :]))
         self._append_state(row, kz, reward)
         self.accumulated_variance += float(var_s)
         if self.accumulated_variance > self.accumulation_threshold - 1.0:
@@ -518,7 +518,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
     def _resample(self) -> None:
         # leverage-score estimates of all past states under the current anchors
         d = self.dictionary
-        kdiag = diag_packed(self.kernel, self.history, context_dim=self._context_dim)
+        kdiag = self._diag(self.history)
         weights = 1.0 / d.sqrt_probs
         v = self._cross.view * weights[None, :]
         r = np.einsum("ij,ij->i", v @ d.score_inverse.matrix, v)
@@ -542,13 +542,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             d.rng,
             context_dim=self._context_dim,
         )
-        kzs = gram_packed(
-            self.kernel,
-            self.dictionary.packed,
-            self.history,
-            context_dim=self._context_dim,
-        )
-        self._cross = GrowableMatrix(kzs.T)
+        self._cross = GrowableMatrix(self._gram(self.dictionary.packed, self.history).T)
         self._dense_posterior()
         self.accumulated_variance = 0.0
         self.resample_count += 1

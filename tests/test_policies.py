@@ -232,21 +232,17 @@ def test_cross_block_is_exact_past_the_spare_column_switch(monkeypatch):
 
 def test_projected_update_reads_each_state_once(monkeypatch):
     # the sampler scores and admits the state from the K_Z(s) and k(s, s)
-    # that the update computed for itself, so neither is computed twice; a
-    # k(s, s) is a column whose block is the state's own row, where an
-    # admission's history column reads a copy of it
-    calls = {"cross_vector": 0, "k_self": 0}
-    cross_vector, column = Dictionary.cross_vector, policies._KernelPolicy._column
-
-    def counted_cross_vector(self, *args):
-        calls["cross_vector"] += 1
-        return cross_vector(self, *args)
+    # that the update computed for itself, so neither is computed twice; K_Z(s)
+    # is the column whose block is the anchors, k(s, s) the one whose block is
+    # the state's own row, where an admission's history column reads a copy
+    calls = {"k_z": 0, "k_self": 0}
+    column = policies._KernelPolicy._column
 
     def counted_column(self, block, row):
+        calls["k_z"] += block is self.dictionary.packed
         calls["k_self"] += np.shares_memory(block, row)
         return column(self, block, row)
 
-    monkeypatch.setattr(Dictionary, "cross_vector", counted_cross_vector)
     monkeypatch.setattr(policies._KernelPolicy, "_column", counted_column)
     rng = np.random.default_rng(12)
     policy = make_projected(gamma=2.0, seed=13)
@@ -257,9 +253,9 @@ def test_projected_update_reads_each_state_once(monkeypatch):
         per_update = {k: calls[k] - before[k] for k in calls}
         if t == 0:
             # the bootstrap seeds an empty dictionary: no K_Z(s) to compute
-            assert per_update == {"cross_vector": 0, "k_self": 1}
+            assert per_update == {"k_z": 0, "k_self": 1}
         else:
-            assert per_update == {"cross_vector": 1, "k_self": 1}
+            assert per_update == {"k_z": 1, "k_self": 1}
             admitted.append(policy.dictionary.size > size)
     assert any(admitted) and not all(admitted)
 
@@ -480,9 +476,9 @@ def test_exact_update_reuses_only_the_chosen_state(monkeypatch):
 
 def fresh_scores(policy, context, actions):
     """``scores`` with Lam - K_ZZ^{-1} / lam built from the policy's inverses now."""
-    q, ctx_dim = policies._query_block(context, actions)
-    kzq = gram_packed(policy.kernel, policy.dictionary.packed, q, context_dim=ctx_dim)
-    kdiag = kernels.diag_packed(policy.kernel, q, context_dim=ctx_dim)
+    q = policy._query_block(context, actions)
+    kzq = policy._gram(policy.dictionary.packed, q)
+    kdiag = policy._diag(q)
     lam_mat = policy.lambda_inverse.matrix
     means = kzq.T @ (lam_mat @ policy.gamma_vec)
     correction = lam_mat - policy.dictionary.kzz_inverse.matrix / policy.lam
@@ -909,6 +905,36 @@ def test_tensor_kernel_scores_match_dense_posterior(name):
     want_m, want_v = dense_posterior(policy, ctx, actions)
     assert np.allclose(means, want_m, atol=1e-6)
     assert np.allclose(var, want_v, atol=1e-6)
+
+
+@pytest.mark.parametrize("method", ["choose", "scores", "update"])
+@pytest.mark.parametrize("name", ["kucb", "ekucb", "cbbkb"])
+def test_a_changed_context_size_is_an_error(name, method):
+    # a 2-d context with a 1-d action packs as wide a row as a 1-d context
+    # with a 2-d action, so a tensor kernel would split one of them at the
+    # wrong coordinate; the split is the first context's size, and a context
+    # of another size is refused before it changes any state
+    rngs = (np.random.default_rng(40), np.random.default_rng(41))
+    kors = KorsParams(mu=1.0, gamma=3.0)
+    policy = {
+        "kucb": lambda: ExactKernelUcb(TENSOR, 1.0, FIXED),
+        "ekucb": lambda: ProjectedKernelUcb(TENSOR, 1.0, kors, FIXED, *rngs),
+        "cbbkb": lambda: ResamplingKernelUcb(
+            TENSOR, 1.0, kors, FIXED, *rngs, accumulation_threshold=3.0
+        ),
+    }[name]()
+    policy.update(np.array([0.1, 0.2]), np.array([0.3]), 0.5)
+    x, actions = np.array([0.1]), np.array([[0.2, 0.3], [0.6, 0.9]])
+    call = {
+        "choose": lambda: policy.choose(x, actions),
+        "scores": lambda: policy.scores(x, actions),
+        "update": lambda: policy.update(x, actions[0], 0.5),
+    }[method]
+    with pytest.raises(ValueError, match="context has 1 coordinates, not 2"):
+        call()
+    assert policy.history.tolist() == [[0.1, 0.2, 0.3]]
+    policy.update(np.array([0.4, 0.5]), np.array([0.6]), 0.5)
+    assert policy.t == 2
 
 
 def test_resampling_threshold_validation():

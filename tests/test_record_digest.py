@@ -8,19 +8,22 @@ workloads through, so a "bit-identical" claim is checked here.  The whole of
 ``presets_1d`` takes about 12 s on a 2-core host and is left to a manual
 ``--check``; its 9 ``cbkb`` and ``cbbkb`` runs, about 0.5 s, and its 15
 ``ekucb`` runs cut at T = 400, about 1 s, are digested here with the script's
-``record_fields``.  10 of those ``ekucb`` runs abort with
-``NumericalDriftError``, so a rounding change that moves an abort round shows
-here.  The digests were taken with numpy 2.4 and scipy 1.17 and their bundled
+``digest``.  10 of those ``ekucb`` runs abort with ``NumericalDriftError``, so
+a rounding change that moves an abort round shows here.  Every workload uses
+a gaussian kernel, which never splits a packed row, so 16 tensor-kernel runs,
+whose kernel splits each row at the context dimension, are digested too.  The
+digests were taken with numpy 2.4 and scipy 1.17 and their bundled
 OpenBLAS on x86-64; another BLAS build may round differently, and then they
 must be taken again from a commit known to be correct.
 """
 
-import hashlib
+import functools
 import importlib.util
-import json
 import subprocess
 import sys
 from pathlib import Path
+
+from bandit_lab.config import build_run_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "record_digest.py"
@@ -29,6 +32,38 @@ SCRIPT = ROOT / "scripts" / "record_digest.py"
 PRESET_RESAMPLING_SHA256 = "a9d0207bc6e06026c1147887de6d722a10faace63e4330313f33b6f47396bdea"
 # the same over its ekucb runs at horizon 400
 PRESET_EKUCB_400_SHA256 = "487d00774d0d26aa296101c1e19ec3479287093878d787693ec92ecf4c0d5ae2"
+# the same over the tensor-kernel runs of TENSOR_CELL, in job order
+TENSOR_SHA256 = "0169913c4852475675070d50e0b6b231a73c2199463a1c4dafd3ac17b3b6cd78"
+
+# a bump cell with a 2-d context, where only a tensor kernel reads the
+# context/action split of the packed rows
+TENSOR_CELL = {
+    "env.family": "bump",
+    "env.context_dim": "2",
+    "env.action_grid": "9",
+    "kernel.family": "tensor",
+    "kernel.context_family": "gaussian",
+    "kernel.context_bandwidth": "0.5",
+    "policy.lambda": "1",
+    "policy.mu": "1",
+    "policy.gamma": "3",
+    "policy.accumulation_threshold": "3",
+    "run.T": "80",
+    "run.seeds": "0,1",
+}
+TENSOR_ACTION_FACTORS = (
+    {"kernel.action_family": "gaussian", "kernel.action_bandwidth": "0.3"},
+    {"kernel.action_family": "linear"},
+)
+
+
+@functools.cache
+def record_digest():
+    """``scripts/record_digest.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("record_digest", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_bump_workload_records_match_the_pinned_digests():
@@ -42,27 +77,29 @@ def test_bump_workload_records_match_the_pinned_digests():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def preset_digest(policies, horizon=None):
-    """Run count and SHA-256 over presets_1d's runs of ``policies``, in job order."""
-    spec = importlib.util.spec_from_file_location("record_digest", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    configs = [
-        config
-        for _, config in script.workloads.build("presets_1d", horizon)
-        if config.policy in policies
-    ]
-    sha, runs = hashlib.sha256(), 0
-    for cell in script.harness.run_sweep(configs):
-        for record in cell.records:
-            sha.update(json.dumps(script.record_fields(cell.config, record)).encode())
-            runs += 1
-    return runs, sha.hexdigest()
-
-
 def test_preset_resampling_records_match_the_pinned_digest():
-    assert preset_digest(("cbkb", "cbbkb")) == (9, PRESET_RESAMPLING_SHA256)
+    d = record_digest().digest("presets_1d", policies=("cbkb", "cbbkb"))
+    assert (d["runs"], d["sha256"]) == (9, PRESET_RESAMPLING_SHA256)
 
 
 def test_preset_ekucb_records_match_the_pinned_digest():
-    assert preset_digest(("ekucb",), horizon=400) == (15, PRESET_EKUCB_400_SHA256)
+    d = record_digest().digest("presets_1d", horizon=400, policies=("ekucb",))
+    assert (d["runs"], d["sha256"]) == (15, PRESET_EKUCB_400_SHA256)
+
+
+def test_tensor_kernel_records_match_the_pinned_digest():
+    # 16 runs, about 0.3 s; 3 of them abort
+    configs = [
+        build_run_config(
+            {
+                **TENSOR_CELL,
+                **action,
+                "policy.name": policy,
+                "run.label": f"{policy}_{action['kernel.action_family']}",
+            }
+        )
+        for action in TENSOR_ACTION_FACTORS
+        for policy in ("kucb", "ekucb", "cbkb", "cbbkb")
+    ]
+    d = record_digest().digest_configs(configs)
+    assert (d["runs"], d["completed"], d["sha256"]) == (16, 13, TENSOR_SHA256)
