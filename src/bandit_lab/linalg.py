@@ -6,18 +6,18 @@ the inverse of a growing SPD matrix directly, via two primitives:
 * rank-one update      (M + u u^T)^{-1} from M^{-1}  (Sherman-Morrison)
 * one-row extension    [[M, b], [b^T, c]]^{-1} from M^{-1}  (Schur complement)
 
-Both return a fresh ``SpdInverse``.  The rank-one update re-symmetrizes its
-result, so roundoff asymmetry cannot compound over thousands of updates.  The
-one-row extension is not re-symmetrized: it writes the same border column and
-row, and its top-left block is symmetric to round-off, or exactly in numpy.
-The extension comes in two forms that compute the same blocks:
-``schur_extend``, the dictionary's, in numpy, and ``schur_extend_jittered``,
-kucb's, which updates one copy of the t-square inverse in place with a BLAS
-``dger``.  They round differently, and the shipped presets' dictionary runs
-depend on the bits of the first, so it stays until ROADMAP item 2 retires the
-dictionary's bordering.  A dense factorization-based inverse is also provided;
-it serves as the ground truth in tests and as the rebuild path for policies
-that refactor after drift; an in-order variant applies the one-row
+The rank-one update returns a fresh ``SpdInverse`` and re-symmetrizes it, so
+roundoff asymmetry cannot compound over thousands of updates.  The one-row
+extension is not re-symmetrized: it writes the same border column and row,
+and its top-left block is symmetric to round-off, or exactly in numpy.  The
+extension comes in two forms that compute the same blocks: ``schur_extend``,
+the dictionary's, in numpy on fresh arrays, and ``schur_extend_jittered``,
+kucb's, which borders a ``BufferedInverse`` in its own reused buffers with a
+BLAS ``dger``.  They round differently, and the shipped presets' dictionary
+runs depend on the bits of the first, so it stays until ROADMAP item 2 retires
+the dictionary's bordering.  A dense factorization-based inverse is also
+provided; it serves as the ground truth in tests and as the rebuild path for
+policies that refactor after drift; an in-order variant applies the one-row
 extension's singularity rule at once.
 
 ``scipy`` is imported bare and every call goes through ``_lapack()``, which
@@ -142,29 +142,60 @@ def sherman_morrison_update(inv: SpdInverse, u: np.ndarray) -> SpdInverse:
     return SpdInverse(sym)
 
 
-def _bordered(
-    inv: SpdInverse, b: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Schur step of a one-row extension, and the result with its border.
+class BufferedInverse:
+    """kucb's (K + lam I)^{-1}, kept in two flat buffers that are reused.
 
-    Returns (out, w, s) with w = M^{-1} b and s = c - b^T w, where ``out`` is
-    the (n+1)-square result with the border column, border row and corner
-    written and the top-left block left for the caller.  Raises
-    ``NearSingularExtensionError`` when s < 1e-12.
+    ``matrix`` is a C-ordered view of the first ``dim``^2 entries of one
+    buffer; the other is ``schur_extend_jittered``'s Fortran-ordered work
+    space.  Each buffer grows to 1.5 times the entries it needs when it runs
+    short, so a bordering allocates no t-square array in most rounds.  The next
+    bordering overwrites ``matrix`` in place: a caller that keeps it across an
+    update keeps a copy.
+    """
+
+    def __init__(self) -> None:
+        self.dim = 0
+        self._entries = np.zeros(0)
+        self._work = np.zeros(0)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        n = self.dim
+        return self._entries[: n * n].reshape(n, n)
+
+    def _room(self, name: str, size: int) -> np.ndarray:
+        """The first ``size`` entries of the buffer ``name``, regrown if it has fewer.
+
+        The old buffer is dropped before the larger one is allocated, so the
+        two are never live together; what it held is lost.
+        """
+        if getattr(self, name).size < size:
+            setattr(self, name, None)
+            setattr(self, name, np.empty(int(1.5 * size)))
+        return getattr(self, name)[:size]
+
+
+def _schur_step(m: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+    """w = M^{-1} b and the Schur complement s = c - b^T w of a one-row extension.
+
+    ``m`` is M^{-1}.  Raises ``NearSingularExtensionError`` when s < 1e-12.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape[0] != inv.dim:
+    if b.shape[0] != m.shape[0]:
         raise ValueError("border vector must match the inverse dimension")
-    n = inv.dim
-    w = inv.matrix @ b
+    w = m @ b
     s = float(c) - float(b @ w)
     if s < SINGULAR_TOL:
         raise NearSingularExtensionError(f"schur complement {s:.3e}")
-    out = np.empty((n + 1, n + 1))
+    return w, s
+
+
+def _border(out: np.ndarray, w: np.ndarray, s: float) -> None:
+    """Write the border column -w/s, the border row and the corner 1/s of ``out``."""
+    n = w.shape[0]
     out[:n, n] = -w / s
     out[n, :n] = -w / s
     out[n, n] = 1.0 / s
-    return out, w, s
 
 
 def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
@@ -185,36 +216,47 @@ def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
     and the dictionary keeps this arithmetic until ROADMAP item 2 retires
     its bordering, because the shipped presets' runs depend on its bits.
     """
-    out, w, s = _bordered(inv, b, c)
+    w, s = _schur_step(inv.matrix, b, c)
     n = inv.dim
+    out = np.empty((n + 1, n + 1))
     out[:n, :n] = inv.matrix + np.outer(w, w) / s
+    _border(out, w, s)
     return SpdInverse(out)
 
 
-def schur_extend_jittered(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
-    """kucb's bordering step: ``schur_extend``'s blocks, top-left in place.
+def schur_extend_jittered(
+    inv: BufferedInverse, b: np.ndarray, c: float
+) -> BufferedInverse:
+    """kucb's bordering step: ``schur_extend``'s blocks, in ``inv``'s buffers.
 
-    The top-left block is one BLAS ``dger`` rank-one update on a single
-    Fortran-ordered copy of M^{-1}, so a round makes three passes over the
-    t^2 entries (copy, update, write into the result) and allocates two
-    t-square arrays, where ``schur_extend`` makes four passes.  ``dger``'s
+    M^{-1} is copied, transposing, into the Fortran-ordered work buffer, one
+    BLAS ``dger`` adds w w^T / s to that copy in place, and the copy is written
+    back as the top-left block of the (n+1)-square result, laid out in the
+    buffer that held M^{-1}.  A round makes three passes over the t^2 entries
+    and allocates no t-square array, except when a buffer grows.  ``dger``'s
     rounding of the rank-one term need not be symmetric in i and j, so the
     result is symmetric to round-off rather than exactly; it is not
-    re-symmetrized.  The caller's M^{-1} is never written.
+    re-symmetrized.  ``inv`` is updated and returned: its old ``matrix`` is
+    overwritten.
 
     kucb's Schur complement is k(s, s) + lam - k^T (K + lam I)^{-1} k >= lam,
     and the config rejects lam <= 0, so no retry at c + jitter is made; the
-    ``NearSingularExtensionError`` raise stays as the guard.  The name is
-    kept because the benchmark tracer wraps it.  The two bordering functions
-    exist until ROADMAP item 2 retires the dictionary's ``schur_extend``.
+    ``NearSingularExtensionError`` raise stays as the guard, and leaves
+    ``inv`` as it was.  The name is kept because the benchmark tracer wraps
+    it.  The two bordering functions exist until ROADMAP item 2 retires the
+    dictionary's ``schur_extend``.
     """
-    out, w, s = _bordered(inv, b, c)
     n = inv.dim
+    w, s = _schur_step(inv.matrix, b, c)
+    top = inv._room("_work", n * n).reshape((n, n), order="F")
+    top[...] = inv.matrix
     if n:  # dger rejects an empty matrix
-        top = np.array(inv.matrix, order="F")
         _lapack().blas.dger(1.0 / s, w, w, a=top, overwrite_a=1)
-        out[:n, :n] = top
-    return SpdInverse(out)
+    out = inv._room("_entries", (n + 1) ** 2).reshape(n + 1, n + 1)
+    out[:n, :n] = top
+    _border(out, w, s)
+    inv.dim = n + 1
+    return inv
 
 
 def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
@@ -237,18 +279,22 @@ def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
         return SpdInverse.empty()
     if not np.array_equal(m, m.T):
         raise ValueError("matrix must be symmetric")
-    attempts = [m]
-    if jitter > 0:
-        attempts.append(m + jitter * np.eye(m.shape[0]))
     la = _lapack()
-    for candidate in attempts:
+
+    def factor(a: np.ndarray):
         try:
-            cf = la.cho_factor(candidate, lower=True)
+            return la.cho_factor(a, lower=True)
         except np.linalg.LinAlgError:
-            continue
-        inv = la.cho_solve(cf, np.eye(candidate.shape[0]))
-        return SpdInverse(_symmetrize(inv))
-    raise FactorizationError("matrix not positive definite after jitter")
+            return None
+
+    cf = factor(m)
+    if cf is None and jitter > 0:
+        # the jittered copy is built only when the first factorization fails
+        cf = factor(m + jitter * np.eye(m.shape[0]))
+    if cf is None:
+        raise FactorizationError("matrix not positive definite after jitter")
+    inv = la.cho_solve(cf, np.eye(m.shape[0]))
+    return SpdInverse(_symmetrize(inv))
 
 
 def in_order_inverse(m: np.ndarray) -> tuple[np.ndarray, SpdInverse]:

@@ -57,6 +57,7 @@ from .dictionary import Dictionary, KorsParams, dense_score_inverse, kors_step
 from .dictionary import leverage_estimate, rebuild_dictionary
 from .kernels import KernelSpec, diag_packed, gram_packed
 from .linalg import (
+    BufferedInverse,
     LinalgError,
     SpdInverse,
     dense_spd_inverse,
@@ -252,11 +253,17 @@ class _KernelPolicy:
 
 
 class ExactKernelUcb(_KernelPolicy):
-    """Kernel UCB on the full history."""
+    """Kernel UCB on the full history.
+
+    (K + lam I)^{-1} is a ``BufferedInverse``: each ``update`` borders it in
+    buffers that are reused from round to round, so ``k_lambda_inverse.matrix``
+    is overwritten by the next ``update``.  Keep a copy to compare across
+    rounds.
+    """
 
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
         super().__init__(kernel, lam, schedule)
-        self.k_lambda_inverse = SpdInverse.empty()
+        self.k_lambda_inverse = BufferedInverse()
 
     @property
     def dictionary_size(self) -> int:

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bandit_lab import linalg
 from bandit_lab.kernels import KernelSpec, gram_packed
@@ -104,16 +105,52 @@ def test_schur_extend_keeps_exact_symmetry():
         assert np.array_equal(inv.matrix, inv.matrix.T)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 50])
-def test_schur_extend_jittered_leaves_its_input_alone(n):
-    # dger overwrites its copy of M^{-1}; the caller's inverse must not change
+def fresh_array_bordering(m, b, c):
+    """kucb's bordering on fresh arrays, as it was computed before its buffers.
+
+    A Fortran-ordered copy of M^{-1}, one ``dger`` on it, and the copy written
+    into a fresh result beside the border; kept as the bit-for-bit reference.
+    """
+    n = m.shape[0]
+    w = m @ b
+    s = float(c) - float(b @ w)
+    out = np.empty((n + 1, n + 1))
+    out[:n, n] = -w / s
+    out[n, :n] = -w / s
+    out[n, n] = 1.0 / s
+    if n:
+        top = np.array(m, order="F")
+        scipy.linalg.blas.dger(1.0 / s, w, w, a=top, overwrite_a=1)
+        out[:n, :n] = top
+    return out
+
+
+def test_schur_extend_jittered_matches_fresh_array_bordering():
+    # the buffer-backed bordering overwrites M^{-1}, but computes every result
+    # bit for bit as the fresh-array arithmetic does, through its buffers'
+    # growth steps
     rng = np.random.default_rng(6)
-    full = random_spd(rng, n + 1, scale=n + 1.0)
-    lead = SpdInverse(np.linalg.inv(full[:n, :n]))
-    before = lead.matrix.tobytes()
-    out = schur_extend_jittered(lead, full[:n, n], float(full[n, n]))
-    assert lead.matrix.tobytes() == before
-    assert np.abs(out.matrix - np.linalg.inv(full)).max() < 1e-12
+    full = random_spd(rng, 80, scale=80.0)
+    inv, ref = linalg.BufferedInverse(), np.zeros((0, 0))
+    sizes = set()
+    for n in range(80):
+        b, c = full[:n, n], float(full[n, n])
+        ref = fresh_array_bordering(ref, b, c)
+        assert schur_extend_jittered(inv, b, c) is inv
+        assert inv.dim == n + 1
+        assert inv.matrix.flags.c_contiguous
+        assert inv.matrix.tobytes() == ref.tobytes()
+        sizes.add(inv.matrix.base.size)
+    assert len(sizes) > 10
+    assert np.abs(inv.matrix - np.linalg.inv(full)).max() < 1e-12
+
+
+def test_schur_extend_jittered_leaves_its_inverse_alone_when_it_raises():
+    inv = linalg.BufferedInverse()
+    schur_extend_jittered(inv, np.zeros(0), 1.0)
+    with pytest.raises(NearSingularExtensionError):
+        schur_extend_jittered(inv, np.array([1.0]), 1.0)
+    assert inv.dim == 1 and inv.matrix.tolist() == [[1.0]]
 
 
 def test_kucb_schur_complement_stays_above_lam():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,40 @@ def test_exact_update_reuses_only_the_chosen_state(monkeypatch):
     assert policy.t == 50
     assert np.allclose(policy.k_lambda_inverse.matrix, np.linalg.inv(k), atol=1e-10)
     check_hand_off_is_keyed_by_value(monkeypatch, policy, rng)
+
+
+def test_kucb_rounds_allocate_no_t_square_array():
+    # kucb borders (K + lam I)^{-1} in two reused buffers: a round's transient
+    # allocations, above what it holds before and after, stay far below one
+    # t-square array, and what it holds grows only at the buffers' few
+    # geometric growth steps
+    rng = np.random.default_rng(41)
+    policy = ExactKernelUcb(GAUSS, 1.0, FIXED)
+    actions = np.linspace(0.0, 1.0, 7)[:, None]
+
+    def play():
+        x = rng.uniform(size=2)
+        policy.update(x, actions[policy.choose(x, actions)], rng.normal())
+
+    transient, grown = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            play()
+        for t in range(200, 300):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            play()
+            after, peak = tracemalloc.get_traced_memory()
+            square = 8 * t * t
+            transient.append((peak - max(before, after)) / square)
+            if after - before > square / 4:
+                grown.append(t)
+    finally:
+        tracemalloc.stop()
+    assert policy.t == 300
+    assert max(transient) < 0.25
+    assert 0 < len(grown) <= 6
 
 
 def fresh_scores(policy, context, actions):
