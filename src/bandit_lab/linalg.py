@@ -158,6 +158,15 @@ class BufferedInverse:
         self._entries = np.zeros(0)
         self._work = np.zeros(0)
 
+    @staticmethod
+    def copy_of(m: np.ndarray) -> "BufferedInverse":
+        """A ``BufferedInverse`` holding a copy of the inverse ``m``."""
+        inv = BufferedInverse()
+        n = m.shape[0]
+        inv._room("_entries", n * n).reshape(n, n)[...] = m
+        inv.dim = n
+        return inv
+
     @property
     def matrix(self) -> np.ndarray:
         n = self.dim
@@ -225,7 +234,7 @@ def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
 
 
 def schur_extend_jittered(
-    inv: BufferedInverse, b: np.ndarray, c: float
+    inv: BufferedInverse | SpdInverse, b: np.ndarray, c: float
 ) -> BufferedInverse:
     """kucb's bordering step: ``schur_extend``'s blocks, in ``inv``'s buffers.
 
@@ -236,8 +245,10 @@ def schur_extend_jittered(
     and allocates no t-square array, except when a buffer grows.  ``dger``'s
     rounding of the rank-one term need not be symmetric in i and j, so the
     result is symmetric to round-off rather than exactly; it is not
-    re-symmetrized.  ``inv`` is updated and returned: its old ``matrix`` is
-    overwritten.
+    re-symmetrized.  A ``BufferedInverse`` ``inv`` is updated and returned:
+    its old ``matrix`` is overwritten.  Any other ``SpdInverse`` is first
+    copied into a new ``BufferedInverse``, which is bordered and returned, so
+    the caller's M^{-1} is left alone.
 
     kucb's Schur complement is k(s, s) + lam - k^T (K + lam I)^{-1} k >= lam,
     and the config rejects lam <= 0, so no retry at c + jitter is made; the
@@ -246,6 +257,8 @@ def schur_extend_jittered(
     it.  The two bordering functions exist until ROADMAP item 2 retires the
     dictionary's ``schur_extend``.
     """
+    if not isinstance(inv, BufferedInverse):
+        inv = BufferedInverse.copy_of(inv.matrix)
     n = inv.dim
     w, s = _schur_step(inv.matrix, b, c)
     top = inv._room("_work", n * n).reshape((n, n), order="F")

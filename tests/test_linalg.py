@@ -145,6 +145,18 @@ def test_schur_extend_jittered_matches_fresh_array_bordering():
     assert np.abs(inv.matrix - np.linalg.inv(full)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_schur_extend_jittered_leaves_its_input_alone(n):
+    # dger overwrites its copy of M^{-1}; the caller's inverse must not change
+    rng = np.random.default_rng(6)
+    full = random_spd(rng, n + 1, scale=n + 1.0)
+    lead = SpdInverse(np.linalg.inv(full[:n, :n]))
+    before = lead.matrix.tobytes()
+    out = schur_extend_jittered(lead, full[:n, n], float(full[n, n]))
+    assert lead.matrix.tobytes() == before
+    assert np.abs(out.matrix - np.linalg.inv(full)).max() < 1e-12
+
+
 def test_schur_extend_jittered_leaves_its_inverse_alone_when_it_raises():
     inv = linalg.BufferedInverse()
     schur_extend_jittered(inv, np.zeros(0), 1.0)
