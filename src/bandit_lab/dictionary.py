@@ -134,11 +134,8 @@ class Dictionary:
             self.rejected_duplicates += 1
             return False
         root = math.sqrt(prob)
-        scale = 1.0 / root
         self.score_inverse = schur_extend(
-            self.score_inverse,
-            scale * (1.0 / self.sqrt_probs) * kz,
-            k_self * scale**2 + self.mu,
+            self.score_inverse, kz / self.sqrt_probs / root, k_self * (1.0 / root) ** 2 + self.mu
         )
         self.kzz_inverse = new_kzz
         self.packed = np.vstack([self.packed.reshape(-1, row.size), row])

@@ -7,9 +7,8 @@ paths the first never reaches: dense rebuilds, rejected near-duplicates,
 resamples and a drift abort.  Each file's SHA-256, taken after dropping the
 wall-clock columns, must equal the digest pinned below, so a refactor that
 changes one emitted bit, or the layout of one file, fails here.  ``time.svg`` plots wall time only and is not
-pinned.  The digests were taken with numpy 2.4 and scipy 1.17 and their
-bundled OpenBLAS on x86-64; another BLAS build may round differently, and
-then they must be taken again from a commit known to be correct.
+pinned.  The digests hold for one BLAS build: ``scripts/record_digest.py``'s
+docstring says which, and what to do on another.
 """
 
 import hashlib

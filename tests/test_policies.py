@@ -19,6 +19,7 @@ from bandit_lab.policies import (
     _guard_variances,
     theoretical_beta,
 )
+from test_long_horizon_drift import load_perfbench
 
 GAUSS = KernelSpec("gaussian", bandwidth=0.4)
 FIXED = ExplorationSchedule(mode="fixed", beta=1.0)
@@ -163,11 +164,11 @@ def test_projected_with_saturated_dictionary_equals_exact():
     assert np.allclose(pv, ev, atol=1e-9)
 
 
-def dense_projected_oracle(policy, context_dim=None):
+def dense_projected_oracle(policy):
     """Recompute every maintained object of a projected policy from scratch."""
     anchors = policy.dictionary.packed
-    kzz = gram_packed(policy.kernel, anchors, anchors, context_dim=context_dim)
-    kzs = gram_packed(policy.kernel, anchors, policy.history, context_dim=context_dim)
+    kzz = gram_packed(policy.kernel, anchors, anchors)
+    kzs = gram_packed(policy.kernel, anchors, policy.history)
     lam_mat = np.linalg.inv(kzs @ kzs.T + policy.lam * kzz)
     return {
         "lambda_inverse": lam_mat,
@@ -889,25 +890,6 @@ TENSOR = KernelSpec(
 )
 
 
-def dense_posterior(policy, context, actions):
-    """Posterior mean and variance rebuilt from the stored packed rows alone."""
-
-    def k(a, b):
-        return gram_packed(policy.kernel, a, b, context_dim=context.size)
-
-    q = np.column_stack([np.tile(context, (actions.shape[0], 1)), actions])
-    kqq = k(q, q).diagonal()
-    if isinstance(policy, ExactKernelUcb):
-        s, y = policy.history, policy.rewards
-        sol = np.linalg.solve(k(s, s) + policy.lam * np.eye(policy.t), k(s, q))
-        return sol.T @ y, (kqq - np.einsum("ij,ij->j", k(s, q), sol)) / policy.lam
-    want = dense_projected_oracle(policy, context.size)
-    kzq = k(policy.dictionary.packed, q)
-    correction = want["lambda_inverse"] - want["kzz_inverse"] / policy.lam
-    means = kzq.T @ (want["lambda_inverse"] @ want["gamma_vec"])
-    return means, kqq / policy.lam + np.einsum("ij,ij->j", kzq, correction @ kzq)
-
-
 @pytest.mark.parametrize("name", ["kucb", "ekucb", "cbkb", "cbbkb"])
 def test_tensor_kernel_scores_match_dense_posterior(name):
     # a tensor kernel splits each stored row at the context dimension, which
@@ -937,7 +919,7 @@ def test_tensor_kernel_scores_match_dense_posterior(name):
         assert policy.resample_count >= 1
     ctx = np.array([0.3, 0.8])
     means, var = policy.scores(ctx, actions)
-    want_m, want_v = dense_posterior(policy, ctx, actions)
+    want_m, want_v = load_perfbench("checks").dense_scores(policy, TENSOR, 1.0, ctx, actions)
     assert np.allclose(means, want_m, atol=1e-6)
     assert np.allclose(var, want_v, atol=1e-6)
 
