@@ -20,11 +20,11 @@ block elimination; tests check the two agree.  The 1.5 is KORS's 1 + eps
 with eps fixed at 0.5, since eps only rescales gamma.  The matrix
 (S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, and
 sqrt(p_i) is kept beside p_i, so a score costs O(m^2) after O(m) kernel
-evaluations and derives no weight.  Both are written once and shared:
-``leverage_estimate`` is tau for one state or for a whole history (the
-resampling baseline scores every past state with it), and
-``dense_score_inverse`` builds the score inverse from scratch for a rebuilt
-dictionary and for a policy's drift recovery alike.
+evaluations and derives no weight.  The sampler lives here alone:
+``kors_step`` scores and draws one state online, ``kors_resample`` scores and
+redraws a whole history (the resampling baselines) by the same weighting and
+inclusion rule, and ``Dictionary.refactor`` rebuilds both inverses densely
+for a policy's drift recovery.
 
 Anchors are stored only as packed joint rows, the form ``gram_packed``
 consumes, and every function here takes a state as such a row or as K_Z(s)
@@ -77,6 +77,10 @@ class KorsParams:
         delta = 1.0 / horizon**2
         gamma = 12.0 * math.log(horizon / delta)
         return KorsParams(mu=mu, gamma=gamma, delta=delta)
+
+    def inclusion(self, tau):
+        """min(gamma tau, 1) for scalars or arrays, and 1 at gamma = inf (where inf * 0 is NaN)."""
+        return np.ones_like(tau) if math.isinf(self.gamma) else np.minimum(self.gamma * tau, 1.0)
 
 
 @dataclass
@@ -149,6 +153,11 @@ class Dictionary:
         if not self._admit(row, k_self, 1.0, 0, np.zeros(0)):
             raise ValueError("bootstrap state rejected as duplicate")
 
+    def refactor(self, kzz: np.ndarray, jitter: float) -> None:
+        """Rebuild both inverses densely from the anchor gram; each retries once at + jitter I."""
+        self.kzz_inverse = dense_spd_inverse(kzz, jitter=jitter)
+        self.score_inverse = dense_score_inverse(kzz, self.sqrt_probs, self.mu, jitter)
+
 
 def leverage_estimate(k, r, params: KorsParams):
     """tau = 1.5 max(k - r, 0) / max(k + mu - r, mu), for scalars or arrays."""
@@ -156,9 +165,9 @@ def leverage_estimate(k, r, params: KorsParams):
     return INFLATION * gap / np.maximum(k + params.mu - r, params.mu)
 
 
-def dense_score_inverse(kzz: np.ndarray, probs, mu: float, jitter: float = 0.0) -> SpdInverse:
-    """(S K_ZZ S + mu I)^{-1} with S = diag(1 / sqrt(probs)), from one factorization."""
-    weights = 1.0 / np.sqrt(np.asarray(probs))
+def dense_score_inverse(kzz: np.ndarray, sqrt_probs, mu: float, jitter: float = 0.0) -> SpdInverse:
+    """(S K_ZZ S + mu I)^{-1} with S = diag(1 / sqrt_probs), from one factorization."""
+    weights = 1.0 / sqrt_probs
     scaled = kzz * np.outer(weights, weights)
     return dense_spd_inverse(scaled + mu * np.eye(scaled.shape[0]), jitter=jitter)
 
@@ -183,15 +192,9 @@ def kors_step(
     regardless of outcome, so the coin-flip stream stays aligned across
     configurations that share a seed.
     """
-    tau = leverage_score(d, kz, k_self, params)
-    if math.isinf(params.gamma):
-        prob = 1.0
-    else:
-        prob = min(params.gamma * tau, 1.0)
+    prob = float(params.inclusion(leverage_score(d, kz, k_self, params)))
     coin = float(d.rng.uniform())
-    if prob <= 0.0 or coin >= prob:
-        return False
-    return d._admit(row, k_self, prob, t, kz)
+    return coin < prob and d._admit(row, k_self, prob, t, kz)
 
 
 def projection_error(
@@ -224,14 +227,14 @@ def rebuild_dictionary(
     rng: np.random.Generator,
     context_dim: int | None = None,
 ) -> Dictionary:
-    """Construct a dictionary from scratch out of one gram and one factorization.
+    """Construct a dictionary from scratch out of one gram.
 
     ``states`` are packed joint rows; ``context_dim`` splits them for tensor
-    kernels, as in ``gram_packed``.  Used by the resampling baseline, which
-    periodically throws its anchor set away.  ``in_order_inverse`` drops a
-    state whose pivot squared, its Schur complement against the states kept
-    before it, is below ``SINGULAR_TOL``, the rule online admission applies,
-    and counts it in ``rejected_duplicates``.
+    kernels, as in ``gram_packed``.  ``in_order_inverse`` drops a state whose
+    pivot squared, its Schur complement against the states kept before it, is
+    below ``SINGULAR_TOL``, the rule online admission applies, and counts it
+    in ``rejected_duplicates``.  It makes one Cholesky factorization when it
+    drops no state, and one more per dropped state.
     """
     k = gram_packed(spec, states, states, context_dim=context_dim)
     kept, kzz_inverse = in_order_inverse(k)
@@ -242,6 +245,28 @@ def rebuild_dictionary(
         probs=[float(probs[i]) for i in kept],
         steps=[steps[i] for i in kept],
         kzz_inverse=kzz_inverse,
-        score_inverse=dense_score_inverse(k[np.ix_(kept, kept)], probs[kept], mu),
+        score_inverse=dense_score_inverse(k[np.ix_(kept, kept)], np.sqrt(probs[kept]), mu),
         rejected_duplicates=len(states) - kept.size,
+    )
+
+
+def kors_resample(
+    d: Dictionary, rows: np.ndarray, kz: np.ndarray, kdiag: np.ndarray, step: int,
+    params: KorsParams, spec: KernelSpec, context_dim: int | None = None,
+) -> Dictionary:
+    """Redraw the dictionary from the packed ``rows``, whose K_Z(s) is ``kz`` and k(s, s) ``kdiag``.
+
+    Each row is scored as by ``leverage_score``, stamped ``step`` and kept with ``kors_step``'s
+    probability, one coin each from ``d.rng``; if every coin misses, the top score is kept at p = 1.
+    """
+    v = kz / d.sqrt_probs
+    tau = leverage_estimate(kdiag, np.einsum("ij,ij->i", v @ d.score_inverse.matrix, v), params)
+    probs = params.inclusion(tau)
+    keep = d.rng.uniform(size=probs.shape[0]) < probs
+    if not keep.any():  # an empty dictionary could score nothing
+        keep[np.argmax(tau)] = True
+        probs[keep] = 1.0
+    idx = np.flatnonzero(keep)
+    return rebuild_dictionary(
+        rows[idx], probs[idx], [step] * idx.size, params.mu, spec, d.rng, context_dim
     )

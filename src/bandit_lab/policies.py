@@ -30,9 +30,9 @@ a round in ``choose``, whose variances the resampling update reuses;
 K_ZZ^{-1} / lam is kept beside the dictionary inverse it was divided from and
 divided again only when that inverse is replaced (an admission, ``refactor``
 or a resample).  Both projected policies rebuild Lam and Gam densely through
-one method, which ``refactor`` and every resample call; a resample's anchors
-and their inverses come from one in-order Cholesky factorization in
-``rebuild_dictionary``.
+one method, which ``refactor`` and every resample call.  A resample draws its
+anchors in ``kors_resample``, whose ``rebuild_dictionary`` makes one Cholesky
+factorization when it drops no state, and one more per dropped state.
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
@@ -53,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grow import GrowableMatrix
-from .dictionary import Dictionary, KorsParams, dense_score_inverse, kors_step
-from .dictionary import leverage_estimate, rebuild_dictionary
+from .dictionary import Dictionary, KorsParams, kors_resample, kors_step
 from .kernels import KernelSpec, diag_packed, gram_packed
 from .linalg import (
     BufferedInverse,
@@ -464,11 +463,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         Each inverse retries once at M + jitter I.  Most rebuilds on the presets
         retry Lam and K_ZZ, so ``kzz_inverse`` is then (K_ZZ + jitter I)^{-1}.
         """
-        kzz = self._dense_posterior()
-        self.dictionary.kzz_inverse = dense_spd_inverse(kzz, jitter=self._jitter)
-        self.dictionary.score_inverse = dense_score_inverse(
-            kzz, self.dictionary.probs, self.kors.mu, jitter=self._jitter
-        )
+        self.dictionary.refactor(self._dense_posterior(), self._jitter)
 
     def _dense_posterior(self) -> np.ndarray:
         """Rebuild Lam and Gam from the cross block; returns the anchor gram K_ZZ."""
@@ -488,9 +483,10 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
     summed, and once the sum since the last resample exceeds threshold - 1 the
     whole dictionary is redrawn from all past states by leverage-score
     sampling.  A threshold of 1 resamples every round, and infinity never does.
-    A resample costs O(t m^2): ``rebuild_dictionary`` factors the drawn states'
-    gram once, in order, dropping a state whose pivot squared is below
-    ``SINGULAR_TOL``, and Lam and Gam are rebuilt as in ``refactor``.
+    A resample costs O(t m^2): ``kors_resample`` draws the anchors and factors
+    their gram in order, dropping a state whose pivot squared is below
+    ``SINGULAR_TOL`` (one Cholesky factorization when it drops none, and one
+    more per dropped state), and Lam and Gam are rebuilt as in ``refactor``.
     """
 
     def __init__(
@@ -523,31 +519,10 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             self._resample()
 
     def _resample(self) -> None:
-        # leverage-score estimates of all past states under the current anchors
-        d = self.dictionary
-        kdiag = self._diag(self.history)
-        weights = 1.0 / d.sqrt_probs
-        v = self._cross.view * weights[None, :]
-        r = np.einsum("ij,ij->i", v @ d.score_inverse.matrix, v)
-        tau = leverage_estimate(kdiag, r, self.kors)
-        probs = np.clip(self.kors.gamma * tau, 0.0, 1.0)
-        keep = d.rng.uniform(size=probs.shape[0]) < probs
-        if not keep.any():
-            # an empty dictionary cannot score anything; force the most
-            # informative state in at probability 1
-            forced = int(np.argmax(tau))
-            probs[forced] = 1.0
-            keep[forced] = True
-        idx = np.flatnonzero(keep)
+        d, rows, cross = self.dictionary, self.history, self._cross.view
         self._replaced_duplicates += d.rejected_duplicates
-        self.dictionary = rebuild_dictionary(
-            self.history[idx],
-            probs[idx],
-            [self.t - 1] * idx.size,
-            self.kors.mu,
-            self.kernel,
-            d.rng,
-            context_dim=self._context_dim,
+        self.dictionary = kors_resample(
+            d, rows, cross, self._diag(rows), self.t - 1, self.kors, self.kernel, self._context_dim
         )
         self._cross = GrowableMatrix(self._gram(self.dictionary.packed, self.history).T)
         self._dense_posterior()

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from bandit_lab import linalg
 from bandit_lab.dictionary import (
     Dictionary,
     KorsParams,
+    kors_resample,
     kors_step,
     leverage_score,
     projection_error,
@@ -196,6 +198,23 @@ def test_rebuild_rejects_duplicates_like_online_admission():
         (d.score_inverse.matrix, dense_spd_inverse(scaled).matrix),
     ):
         assert np.linalg.norm(mine - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_resample_keeps_the_top_scored_row_when_every_coin_misses():
+    # at gamma = 1e-12 every coin misses; an empty dictionary could score
+    # nothing, so the resample keeps the top-scored row alone, at p = 1
+    d, history, _ = grown_dictionary(33, 20)
+    params = KorsParams(mu=1.0, gamma=1e-12)
+    rows = np.array(history)
+    kz = gram_packed(GAUSS, rows, d.packed)
+    kdiag = np.array([k_self(s) for s in history])
+    tau = [score(d, s, params) for s in history]
+    coins = copy.deepcopy(d.rng).uniform(size=len(rows))  # the draws the resample makes
+    assert (coins >= params.gamma * np.array(tau)).all()
+    resampled = kors_resample(d, rows, kz, kdiag, 19, params, GAUSS, CTX_DIM)
+    assert np.array_equal(resampled.packed, rows[[int(np.argmax(tau))]])
+    assert resampled.probs == [1.0] and resampled.steps == [19]
+    assert resampled.rejected_duplicates == 0
 
 
 @pytest.mark.xfail(

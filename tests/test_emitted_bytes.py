@@ -31,7 +31,9 @@ DIGESTS = {
     "diagnostics.csv": "0a00c6195205bd0e453d686c36ab22eb4667e6c73ab32e7d5ee39fd92420334f",
     "dictionary_cbbkb_0.csv": "01614b86b74356b12bc6439dcaffec25b85fb8c2a350d0ad08c6f8d799b0c30c",
     "dictionary_cbbkb_1.csv": "22a5b18c940bfbc1acb6a389d354a7a61661033a8ed36e5b857fb8c90ff9baf8",
-    "dictionary_cbkb_0.csv": "d0dfcd64b352173ca7987384c15bf4798e465f5549fc71c215710b7c3640d71d",
+    # re-pinned when the batch resample took leverage_score's kz / sqrt_probs
+    # weighting: the last bits of some inclusion probabilities moved, no action
+    "dictionary_cbkb_0.csv": "ef827e77bd0243f4cb44cd1417b081f41772ddae987ed93d1cf83a088cd599f8",
     "dictionary_cbkb_1.csv": "c744ebe48fb9af43b7e9182853091cee0ae0cc6c5da3f47f5d1d53a177eb8056",
     "dictionary_ekucb_0.csv": "6cf09ba9d416b0b785f17cf1729cab107602dfa79cf4d3ab46ca2e1ab0a0c402",
     "dictionary_ekucb_1.csv": "c43f3ed8c4100efd03966d37f14f5266ce018be08f4de390c08d4b3aae316aca",
@@ -62,7 +64,8 @@ RECOVERY_COUNTS = [(103, 13, 0, 18), (26, 0, 25, 10), (107, 0, 1, 39)]
 
 RECOVERY_DIGESTS = {
     "dictionary_cbbkb_c10_2.csv": "51fdd970b7ded257f01e07c63e19392d4646bc918b30ee5d79da325522a42003",
-    "dictionary_cbkb_2.csv": "77a1acdbbf3b1fc4adbbc55bb2ff65aab230609a58506b772bcab87b26f30a06",
+    # re-pinned with dictionary_cbkb_0.csv above, for the same last bits
+    "dictionary_cbkb_2.csv": "f9230f42d8fed42f3a5b6e340a7eae4bd2ab92cce2ecae2b543aa92352489928",
     "dictionary_ekucb_mu10_1.csv": "c4373a9bdc2d02a2f8518ad4c0140e79661023c5d43d62164be2eb773bbe5c31",
     "regret.svg": "32979ba379ae6d2c6c25ffad2cbf0d130b899842430f7aef6d5e6315255706e8",
     "summary.csv": "c581181dff9323ab7aa9d61bcaaea9c1c8e2ca1f629bf484de15ce8393f0388b",

@@ -147,7 +147,7 @@ def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
         dropped.append(d.rejected_duplicates)
         return d
 
-    monkeypatch.setattr("bandit_lab.policies.rebuild_dictionary", counted)
+    monkeypatch.setattr("bandit_lab.dictionary.rebuild_dictionary", counted)
     config = small_config(**{"policy.name": "cbkb", "kernel.family": "linear"})
     cbkb = run_single(config, 0)
     assert cbkb.error is None and len(dropped) == cbkb.resamples == cbkb.rounds - 1

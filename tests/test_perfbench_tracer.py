@@ -7,21 +7,10 @@ the whole benchmark.
 """
 
 import importlib
-import importlib.util
-import os
 
 from bandit_lab.config import build_run_config
 from bandit_lab.harness import run_sweep
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_tracer():
-    path = os.path.join(ROOT, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from test_long_horizon_drift import load_perfbench
 
 
 def bound_targets(tracer) -> list:
@@ -35,7 +24,7 @@ def bound_targets(tracer) -> list:
 
 
 def test_tracer_patches_every_target_and_records_kors_steps():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     configs = [
         build_run_config({"policy.name": name, "policy.gamma": "10", "run.T": "10"})
         for name in ("ekucb", "cbkb")

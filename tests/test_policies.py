@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -782,6 +783,47 @@ def test_resampling_never_fires_at_infinite_threshold():
         policy.update(*random_state(rng), rng.normal())
     assert policy.resample_count == 0
     assert policy.dictionary.size == 1  # frozen at the bootstrap anchor
+
+
+def test_resampling_runs_on_when_every_coin_misses():
+    # at gamma = 1e-12 every coin of every resample misses, so each resample
+    # keeps its top-scored state alone, at p = 1, and the policy runs on
+    rng = np.random.default_rng(60)
+    policy = make_resampling(1.0, seed=61, gamma=1e-12)
+    actions = np.linspace(0, 1, 5)[:, None]
+    for _ in range(15):
+        x = rng.uniform(size=2)
+        policy.update(x, actions[policy.choose(x, actions)], rng.normal())
+        assert policy.dictionary.probs == [1.0]
+        assert policy.dictionary.steps == [policy.t - 1 if policy.resample_count else 0]
+    assert policy.resample_count == 14
+    assert np.isfinite(policy.scores(x, actions)).all()
+
+
+@pytest.mark.parametrize("name", ["ekucb", "cbkb"])
+def test_infinite_gamma_draws_a_zero_score_state(name):
+    # at gamma = inf both the online sampler and a resample draw every state
+    # at p = 1, a state that scores tau = 0 too, with no inf * 0: under a
+    # linear kernel the zero state has k(s, s) = 0, so each draws it and
+    # drops it as a duplicate.  The third state makes the resample fire: the
+    # zero state's variance is 0, which does not.
+    linear = KernelSpec("linear", kappa=math.sqrt(3.0))
+    kors = KorsParams(mu=1.0, gamma=math.inf)
+    rngs = dict(policy_rng=np.random.default_rng(50), kors_rng=np.random.default_rng(51))
+    policy = {
+        "ekucb": lambda: ProjectedKernelUcb(linear, 1.0, kors, FIXED, **rngs),
+        "cbkb": lambda: ResamplingKernelUcb(
+            linear, 1.0, kors, FIXED, **rngs, accumulation_threshold=1.0
+        ),
+    }[name]()
+    states = [([0.5, 0.25], [0.75]), ([0.0, 0.0], [0.0]), ([0.25, 0.5], [0.5])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, a in states:
+            policy.update(np.array(x), np.array(a), 1.0)
+    assert policy.rejected_duplicates == 1
+    assert policy.dictionary.size == 2
+    assert getattr(policy, "resample_count", 1) == 1
 
 
 @pytest.mark.parametrize("threshold", [math.inf, 4.0])
