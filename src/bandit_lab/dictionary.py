@@ -79,7 +79,9 @@ class KorsParams:
         return KorsParams(mu=mu, gamma=gamma, delta=delta)
 
     def inclusion(self, tau):
-        """min(gamma tau, 1) for scalars or arrays, and 1 at gamma = inf (where inf * 0 is NaN)."""
+        """min(gamma tau, 1) for a float or an array, and 1 at gamma = inf (where inf * 0 is NaN)."""
+        if isinstance(tau, float):  # kors_step's per-round path stays in plain Python
+            return 1.0 if math.isinf(self.gamma) else min(self.gamma * tau, 1.0)
         return np.ones_like(tau) if math.isinf(self.gamma) else np.minimum(self.gamma * tau, 1.0)
 
 
@@ -186,15 +188,13 @@ def kors_step(
 ) -> bool:
     """Score a state, flip the inclusion coin, admit on success.
 
-    ``row``, ``kz`` = K_Z(s) and ``k_self`` = k(s, s) describe the state, as
-    its policy computed them for its own update.  Returns whether the state
-    became an anchor.  Exactly one uniform draw is consumed per call
-    regardless of outcome, so the coin-flip stream stays aligned across
-    configurations that share a seed.
+    ``row``, ``kz`` = K_Z(s) and ``k_self`` = k(s, s) describe the state, as its policy
+    computed them for its own update.  Returns whether the state became an anchor.
+    Exactly one uniform draw is consumed per call regardless of outcome, so the
+    coin-flip stream stays aligned across configurations that share a seed.
     """
-    prob = float(params.inclusion(leverage_score(d, kz, k_self, params)))
-    coin = float(d.rng.uniform())
-    return coin < prob and d._admit(row, k_self, prob, t, kz)
+    prob = params.inclusion(leverage_score(d, kz, k_self, params))
+    return d.rng.uniform() < prob and d._admit(row, k_self, prob, t, kz)
 
 
 def projection_error(

@@ -823,7 +823,8 @@ def test_infinite_gamma_draws_a_zero_score_state(name):
             policy.update(np.array(x), np.array(a), 1.0)
     assert policy.rejected_duplicates == 1
     assert policy.dictionary.size == 2
-    assert getattr(policy, "resample_count", 1) == 1
+    if name == "cbkb":
+        assert policy.resample_count == 1
 
 
 @pytest.mark.parametrize("threshold", [math.inf, 4.0])
