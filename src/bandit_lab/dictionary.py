@@ -94,7 +94,8 @@ class Dictionary:
     K_ZZ (for the projected variance correction); ``score_inverse`` inverts
     S K_ZZ S + mu I (for the leverage estimator).  All grow as anchors are
     admitted.  ``rejected_duplicates`` counts candidates whose admission would
-    have made K_ZZ numerically singular; they are dropped, not merged.
+    have made K_ZZ numerically singular; they are dropped, not merged.  The
+    count covers the whole run, as ``kors_resample`` carries it over.
     """
 
     mu: float
@@ -267,6 +268,8 @@ def kors_resample(
         keep[np.argmax(tau)] = True
         probs[keep] = 1.0
     idx = np.flatnonzero(keep)
-    return rebuild_dictionary(
+    new = rebuild_dictionary(
         rows[idx], probs[idx], [step] * idx.size, params.mu, spec, d.rng, context_dim
     )
+    new.rejected_duplicates += d.rejected_duplicates
+    return new

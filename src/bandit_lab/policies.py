@@ -18,6 +18,10 @@ Four policies share one interface (``choose(context, actions) -> index``,
   full resamples triggered by the summed variance of its chosen actions.
 * ``UniformRandomPolicy``  uniform action choice; the regret floor.
 
+A kernel policy plays the first maximiser of mean + beta sqrt(var) over the
+candidates (``_KernelPolicy._ucb``).  beta is fixed or the theoretical radius
+with (``exact``, mu = 0, d_eff ~ t) or (``projected``, mu, d_eff ~ m).
+
 The projected posterior with anchors Z, history S, rewards Y uses
 
     Lam = (K_ZS K_SZ + lam K_ZZ)^{-1}        Gam = K_ZS Y
@@ -246,6 +250,11 @@ class _KernelPolicy:
         chosen, self._chosen = self._chosen, None
         return chosen[1] if chosen and chosen[0] == row.tobytes() else None
 
+    def _ucb(self, means: np.ndarray, var: np.ndarray, kind: str, mu: float, d_eff: float) -> int:
+        """The first maximiser of mean + beta sqrt(var), with the schedule's beta for ``kind``."""
+        beta = self.schedule.value(kind, self.t, self.lam, mu, self.kernel.kappa, d_eff)
+        return int(np.argmax(means + beta * np.sqrt(var)))
+
     def _store(self, row: np.ndarray, reward: float) -> None:
         self._history.append_row(row)
         self._rewards.append_row(np.array([reward], dtype=float))
@@ -268,9 +277,7 @@ class ExactKernelUcb(_KernelPolicy):
     def dictionary_size(self) -> int:
         return 0
 
-    def scores(
-        self, context: np.ndarray, actions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, context: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance for every candidate action."""
         _, _, means, var = self._posterior(self._query_block(context, actions))
         return means, var
@@ -288,10 +295,7 @@ class ExactKernelUcb(_KernelPolicy):
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
         q = self._query_block(context, actions)
         cross, kdiag, means, var = self._posterior(q)
-        beta = self.schedule.value(
-            "exact", self.t, self.lam, 0.0, self.kernel.kappa, float(self.t)
-        )
-        idx = int(np.argmax(means + beta * np.sqrt(var)))
+        idx = self._ucb(means, var, "exact", 0.0, float(self.t))
         # a copy of the column, so the t-by-C block is freed
         self._hand_off(q[idx].tobytes(), np.ascontiguousarray(cross[:, idx]), float(kdiag[idx]))
         return idx
@@ -347,8 +351,6 @@ class ProjectedKernelUcb(_KernelPolicy):
         self._jitter = 1e-10 * kernel.kappa**2
         # dense rebuilds by the reason that triggered them
         self.rebuilds = {"singular_update": 0, "indefinite_admission": 0}
-        # duplicates rejected by dictionaries that a resample has replaced
-        self._replaced_duplicates = 0
 
     @property
     def dictionary_size(self) -> int:
@@ -357,16 +359,14 @@ class ProjectedKernelUcb(_KernelPolicy):
     @property
     def rejected_duplicates(self) -> int:
         """Near-duplicate states rejected over the run, by every dictionary it used."""
-        return self._replaced_duplicates + self.dictionary.rejected_duplicates
+        return self.dictionary.rejected_duplicates
 
     @property
     def cross(self) -> np.ndarray:
         """K_ZS, anchors by states."""
         return self._cross.view.T
 
-    def scores(
-        self, context: np.ndarray, actions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, context: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projected posterior mean and variance for every candidate."""
         if self.dictionary.size == 0:
             raise ValueError("no scores before the bootstrap round")
@@ -393,15 +393,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         if self.t == 0:
             return int(self.rng.integers(np.atleast_2d(actions).shape[0]))
         means, var = self.scores(context, actions)
-        beta = self.schedule.value(
-            "projected",
-            self.t,
-            self.lam,
-            self.kors.mu,
-            self.kernel.kappa,
-            float(self.dictionary.size),
-        )
-        idx = int(np.argmax(means + beta * np.sqrt(var)))
+        idx = self._ucb(means, var, "projected", self.kors.mu, float(self.dictionary.size))
         action = np.asarray(np.atleast_2d(actions)[idx], dtype=float)
         self._hand_off(np.asarray(context, dtype=float).tobytes() + action.tobytes(), var[idx])
         return idx
@@ -482,7 +474,8 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
     rank-one update.  The variance ``choose`` scored the chosen action with is
     summed, and once the sum since the last resample exceeds threshold - 1 the
     whole dictionary is redrawn from all past states by leverage-score
-    sampling.  A threshold of 1 resamples every round, and infinity never does.
+    sampling.  A threshold of 1 resamples every round whose chosen state has
+    positive variance, and infinity never does.
     A resample costs O(t m^2): ``kors_resample`` draws the anchors and factors
     their gram in order, dropping a state whose pivot squared is below
     ``SINGULAR_TOL`` (one Cholesky factorization when it drops none, and one
@@ -520,7 +513,6 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
 
     def _resample(self) -> None:
         d, rows, cross = self.dictionary, self.history, self._cross.view
-        self._replaced_duplicates += d.rejected_duplicates
         self.dictionary = kors_resample(
             d, rows, cross, self._diag(rows), self.t - 1, self.kors, self.kernel, self._context_dim
         )

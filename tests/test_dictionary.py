@@ -200,6 +200,24 @@ def test_rebuild_rejects_duplicates_like_online_admission():
         assert np.linalg.norm(mine - want) <= 1e-9 * np.linalg.norm(want)
 
 
+def test_resample_carries_the_replaced_dictionary_s_count():
+    # a run's rejected duplicates are counted by its dictionary alone: a
+    # resample adds the states its rebuild drops to the count it replaces
+    rng = np.random.default_rng(26)
+    states = [random_state(rng) for _ in range(8)]
+    states = states[:5] + [states[1]] + states[5:] + [states[3]]
+    online = Dictionary(mu=1.0, rng=np.random.default_rng(27))
+    params = KorsParams(mu=1.0, gamma=math.inf)
+    for t, s in enumerate(states):
+        step(online, t, s, params)
+    assert online.rejected_duplicates == 2
+    rows = np.array(states)
+    kz = gram_packed(GAUSS, rows, online.packed)
+    resampled = kors_resample(online, rows, kz, np.ones(len(rows)), 9, params, GAUSS, CTX_DIM)
+    assert resampled.size == 8  # gamma = inf draws every row, the rebuild drops 2
+    assert resampled.rejected_duplicates == 4
+
+
 def test_resample_keeps_the_top_scored_row_when_every_coin_misses():
     # at gamma = 1e-12 every coin misses; an empty dictionary could score
     # nothing, so the resample keeps the top-scored row alone, at p = 1

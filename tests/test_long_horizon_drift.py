@@ -7,25 +7,13 @@ benchmark's ``perfbench/checks.py`` builds by solves from the run's data,
 under the benchmark's own drift limit.
 """
 
-import importlib.util
-import os
-
 import numpy as np
 import pytest
 
 from bandit_lab import harness
 from bandit_lab.config import build_run_config
 from bandit_lab.environments import Environment
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_perfbench(name):
-    path = os.path.join(ROOT, "perfbench", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from perfbench_loader import load_perfbench
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import importlib
 
 from bandit_lab.config import build_run_config
 from bandit_lab.harness import run_sweep
-from test_long_horizon_drift import load_perfbench
+from perfbench_loader import load_perfbench
 
 
 def bound_targets(tracer) -> list:

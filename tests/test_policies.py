@@ -20,7 +20,7 @@ from bandit_lab.policies import (
     _guard_variances,
     theoretical_beta,
 )
-from test_long_horizon_drift import load_perfbench
+from perfbench_loader import load_perfbench
 
 GAUSS = KernelSpec("gaussian", bandwidth=0.4)
 FIXED = ExplorationSchedule(mode="fixed", beta=1.0)
@@ -95,10 +95,19 @@ def test_exact_empty_history_scores():
     assert np.allclose(var, 0.25)  # k(s,s)/lam = 1/4
 
 
-def test_exact_tie_break_is_first_index():
-    policy = ExactKernelUcb(GAUSS, lam=1.0, schedule=FIXED)
-    # empty history: every action scores identically, argmax must take index 0
-    assert policy.choose(np.array([0.2, 0.9]), np.linspace(0, 1, 9)[:, None]) == 0
+@pytest.mark.parametrize("name", ["kucb", "ekucb", "cbkb"])
+def test_tie_break_is_first_index(name, monkeypatch):
+    # every kernel policy plays the first maximiser of an exact tie
+    ctx, actions = np.array([0.2, 0.9]), np.linspace(0, 1, 9)[:, None]
+    if name == "kucb":
+        # empty history: every action scores identically
+        policy = ExactKernelUcb(GAUSS, lam=1.0, schedule=FIXED)
+    else:
+        policy = make_projected(math.inf) if name == "ekucb" else make_resampling(math.inf)
+        policy.update(ctx, actions[4], 1.0)  # past the random bootstrap round
+        tied = (np.full(9, 0.5), np.full(9, 0.25))
+        monkeypatch.setattr(policy, "scores", lambda context, acts: tied)
+    assert policy.choose(ctx, actions) == 0
 
 
 def test_exact_variance_monotone_in_data():
@@ -776,6 +785,23 @@ def test_resampling_threshold_one_fires_every_round():
     assert policy.resample_count == 19  # every post-bootstrap round
 
 
+def test_resampling_threshold_one_skips_a_zero_variance_round():
+    # the trigger is a summed variance above threshold - 1 = 0, so under a
+    # linear kernel the duplicate of the first state (variance > 0) resamples
+    # and the zero state (variance 0) does not
+    linear = KernelSpec("linear", kappa=math.sqrt(3.0))
+    policy = ResamplingKernelUcb(
+        linear, 1.0, KorsParams(mu=1.0, gamma=math.inf), FIXED,
+        policy_rng=np.random.default_rng(50), kors_rng=np.random.default_rng(51),
+        accumulation_threshold=1.0,
+    )
+    for x, a in [([0.5, 0.25], [0.75]), ([0.5, 0.25], [0.75]), ([0.0, 0.0], [0.0])]:
+        policy.update(np.array(x), np.array(a), 1.0)
+    assert policy.t == 3
+    assert policy.resample_count == 1
+    assert policy.accumulated_variance == 0.0
+
+
 def test_resampling_never_fires_at_infinite_threshold():
     rng = np.random.default_rng(7)
     policy = make_resampling(math.inf)
@@ -1049,6 +1075,44 @@ def test_schedule_modes():
     theo = ExplorationSchedule(mode="theoretical", norm_bound=1.0, delta=0.05)
     want = theoretical_beta("exact", 10, 1.0, 0.0, 1.0, 0.05, 1.0, 3.0)
     assert theo.value("exact", 10, 1.0, 0.0, 1.0, 3.0) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("name", ["kucb", "ekucb"])
+def test_theoretical_choose_passes_its_own_radius_inputs(name, monkeypatch):
+    # kucb's radius is ("exact", mu = 0, d_eff = t), the projected policies'
+    # ("projected", mu, d_eff = m); lam, mu and kappa differ, so no two swap
+    theo = ExplorationSchedule(mode="theoretical", norm_bound=1.0, delta=0.05)
+    lam, mu = 2.0, 0.5
+    if name == "kucb":
+        policy = ExactKernelUcb(GAUSS, lam, theo)
+    else:
+        policy = ProjectedKernelUcb(
+            GAUSS, lam, KorsParams(mu=mu, gamma=0.5), theo,
+            policy_rng=np.random.default_rng(70), kors_rng=np.random.default_rng(71),
+        )
+    rng = np.random.default_rng(72)
+    actions = np.linspace(0, 1, 11)[:, None]
+    for _ in range(30):
+        x = rng.uniform(size=2)
+        policy.update(x, actions[policy.choose(x, actions)], rng.normal())
+    calls = []
+    value = ExplorationSchedule.value
+
+    def spy(schedule, *args):
+        calls.append(args)
+        return value(schedule, *args)
+
+    monkeypatch.setattr(ExplorationSchedule, "value", spy)
+    x = rng.uniform(size=2)
+    idx = policy.choose(x, actions)
+    kind, mu, d_eff = ("exact", 0.0, policy.t) if name == "kucb" else (
+        "projected", mu, policy.dictionary.size
+    )
+    assert 1 < d_eff and (name == "kucb" or d_eff < policy.t)
+    assert calls == [(kind, policy.t, lam, mu, GAUSS.kappa, float(d_eff))]
+    means, var = policy.scores(x, actions)
+    beta = theoretical_beta(kind, policy.t, lam, mu, 1.0, 0.05, GAUSS.kappa, d_eff)
+    assert idx == int(np.argmax(means + beta * np.sqrt(var)))
 
 
 def test_variance_guard():
