@@ -4,12 +4,9 @@ Policies append one row per round for thousands of rounds; reallocating the
 exact size each time would turn O(m^2) updates into O(m t) copies.  The
 buffer doubles its row capacity instead, so row appends are amortized O(row).
 
-From a width of 4 on, columns double too (a capacity of 8, then 16, ...),
-so an anchor admission writes its column of the t x m cross block in place,
-amortized O(t), instead of copying every live row.  Widths 1 to 3 stay
-exact: numpy rounds ``view.T @ x`` on a strided view of 1 to 3 columns
-differently from the contiguous one, and a projected policy's dictionary
-starts at one anchor.
+Columns double too (a capacity of 8, then 16, ...), so an anchor admission
+writes its column of the t x m cross block in place, amortized O(t), instead
+of copying every live row.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ class GrowableMatrix:
     """Row- and column-growable float matrix.
 
     The constructor copies ``rows`` into a buffer of exactly their width;
-    spare columns appear only once ``append_col`` reaches 4 columns.
+    the first ``append_col`` widens it to max(8, twice that width).
     """
 
     def __init__(self, rows: np.ndarray):
@@ -54,9 +51,7 @@ class GrowableMatrix:
         if col.shape[0] != self.rows:
             raise ValueError("column length mismatch")
         if self.cols == self._buf.shape[1]:
-            # exact up to 3 columns (see the module docstring), then 8, 16, ...
-            width = self.cols + 1 if self.cols < 3 else max(8, 2 * self.cols)
-            self._grow(self._buf.shape[0], width)
+            self._grow(self._buf.shape[0], max(8, 2 * self.cols))
         self._buf[: self.rows, self.cols] = col
         self.cols += 1
 

@@ -170,8 +170,7 @@ def leverage_estimate(k, r, params: KorsParams):
 
 def dense_score_inverse(kzz: np.ndarray, sqrt_probs, mu: float, jitter: float = 0.0) -> SpdInverse:
     """(S K_ZZ S + mu I)^{-1} with S = diag(1 / sqrt_probs), from one factorization."""
-    weights = 1.0 / sqrt_probs
-    scaled = kzz * np.outer(weights, weights)
+    scaled = kzz / np.outer(sqrt_probs, sqrt_probs)
     return dense_spd_inverse(scaled + mu * np.eye(scaled.shape[0]), jitter=jitter)
 
 

@@ -16,8 +16,9 @@ kappa, so it is part of the kernel contract rather than a tuning knob.
 Packed rows are the kernel API (``gram_packed``, ``diag_packed``), and the
 only one the policies read.  ``StatePoint`` and ``evaluate`` serve scalar
 evaluation for the tests, acceptance 4 and the benchmark tracer.
-``evaluate(s, s)`` runs the same 1-by-1 ``gram_packed`` that gives the
-policies' k(s, s), so its bits are theirs.
+``evaluate(s, s)`` is a 1-by-1 ``gram_packed``; the policies take k(s, s)
+from ``diag_packed``, which is exactly 1 for the gaussian family, where the
+expanded squared distance of a 1-by-1 gram may leave a round-off residue.
 """
 
 from __future__ import annotations

@@ -6,19 +6,21 @@ the inverse of a growing SPD matrix directly, via two primitives:
 * rank-one update      (M + u u^T)^{-1} from M^{-1}  (Sherman-Morrison)
 * one-row extension    [[M, b], [b^T, c]]^{-1} from M^{-1}  (Schur complement)
 
-The rank-one update returns a fresh ``SpdInverse`` and re-symmetrizes it, so
-roundoff asymmetry cannot compound over thousands of updates.  The one-row
-extension is not re-symmetrized: it writes the same border column and row,
-and its top-left block is symmetric to round-off, or exactly in numpy.  The
-extension comes in two forms that compute the same blocks: ``schur_extend``,
-the dictionary's, in numpy on fresh arrays, and ``schur_extend_jittered``,
+The rank-one update returns a fresh ``SpdInverse`` built from one product
+mu = M^{-1} u.  Its correction is outer(mu, mu), whose (i, j) and (j, i)
+entries are the same product, so a symmetric M^{-1} gives an exactly
+symmetric result and no asymmetry can compound over thousands of updates.
+The one-row extension writes the same border column and row, and its
+top-left block is symmetric to round-off, or exactly in numpy.  The extension
+comes in two forms that compute the same blocks: ``schur_extend``, the
+dictionary's, in numpy on fresh arrays, and ``schur_extend_jittered``,
 kucb's, which borders a ``BufferedInverse`` in its own reused buffers with a
-BLAS ``dger``.  They round differently, and the shipped presets' dictionary
-runs depend on the bits of the first, so it stays until ROADMAP item 2 retires
-the dictionary's bordering.  A dense factorization-based inverse is also
-provided; it serves as the ground truth in tests and as the rebuild path for
-policies that refactor after drift; an in-order variant applies the one-row
-extension's singularity rule at once.
+BLAS ``dger``.  The dictionary's inverses are replaced, never overwritten, so
+a policy may key a derived matrix on the inverse object; the fresh-array form
+stays until ROADMAP item 2 retires the dictionary's bordering.  A dense
+factorization-based inverse is also provided; it serves as the ground truth
+in tests and as the rebuild path for policies that refactor after drift; an
+in-order variant applies the one-row extension's singularity rule at once.
 
 ``scipy`` is imported bare and every call goes through ``_lapack()``, which
 reads ``scipy.linalg``.  scipy loads ``scipy.linalg`` on first attribute
@@ -120,26 +122,23 @@ def sherman_morrison_update(inv: SpdInverse, u: np.ndarray) -> SpdInverse:
     (M + u u^T)^{-1} = M^{-1} - (M^{-1} u u^T M^{-1}) / (1 + u^T M^{-1} u).
 
     Raises ``SingularUpdateError`` when |1 + u^T M^{-1} u| < 1e-12, which an
-    indefinite M^{-1} can reach.
+    indefinite M^{-1} can reach.  An exactly symmetric M^{-1} gives an exactly
+    symmetric result: mu = M^{-1} u is formed once and the correction is
+    outer(mu, mu) / denom.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != inv.dim:
         raise ValueError("update vector must match the inverse dimension")
     m = inv.matrix
     mu = m @ u
-    # not mu: BLAS sums the transposed product in another order, and the
-    # shipped runs depend on these bits
-    mv = m.T @ u
     denom = 1.0 + float(u @ mu)
     if abs(denom) < SINGULAR_TOL:
         raise SingularUpdateError(f"rank-one update denominator {denom:.3e}")
-    # m - outer(mu, mv) / denom, then symmetrized, in place on fresh arrays
-    out = np.multiply.outer(mu, mv)
+    # m - outer(mu, mu) / denom, in place on the fresh outer array
+    out = np.multiply.outer(mu, mu)
     out /= denom
     np.subtract(m, out, out=out)
-    sym = out + out.T
-    sym *= 0.5
-    return SpdInverse(sym)
+    return SpdInverse(out)
 
 
 class BufferedInverse:
@@ -157,15 +156,6 @@ class BufferedInverse:
         self.dim = 0
         self._entries = np.zeros(0)
         self._work = np.zeros(0)
-
-    @staticmethod
-    def copy_of(m: np.ndarray) -> "BufferedInverse":
-        """A ``BufferedInverse`` holding a copy of the inverse ``m``."""
-        inv = BufferedInverse()
-        n = m.shape[0]
-        inv._room("_entries", n * n).reshape(n, n)[...] = m
-        inv.dim = n
-        return inv
 
     @property
     def matrix(self) -> np.ndarray:
@@ -220,10 +210,9 @@ def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
     near-duplicate rows surface to callers.  A symmetric M^{-1} gives an
     exactly symmetric result, because w_i w_j = w_j w_i in floating point.
 
-    This is the dictionary's bordering step.  ``schur_extend_jittered``
-    computes the same blocks in place for kucb; the two differ in rounding,
-    and the dictionary keeps this arithmetic until ROADMAP item 2 retires
-    its bordering, because the shipped presets' runs depend on its bits.
+    This is the dictionary's bordering step, on fresh arrays, so the inverse
+    it was handed stays valid.  ``schur_extend_jittered`` computes the same
+    blocks in place for kucb; the two differ in rounding.
     """
     w, s = _schur_step(inv.matrix, b, c)
     n = inv.dim
@@ -233,9 +222,7 @@ def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
     return SpdInverse(out)
 
 
-def schur_extend_jittered(
-    inv: BufferedInverse | SpdInverse, b: np.ndarray, c: float
-) -> BufferedInverse:
+def schur_extend_jittered(inv: BufferedInverse, b: np.ndarray, c: float) -> BufferedInverse:
     """kucb's bordering step: ``schur_extend``'s blocks, in ``inv``'s buffers.
 
     M^{-1} is copied, transposing, into the Fortran-ordered work buffer, one
@@ -245,10 +232,8 @@ def schur_extend_jittered(
     and allocates no t-square array, except when a buffer grows.  ``dger``'s
     rounding of the rank-one term need not be symmetric in i and j, so the
     result is symmetric to round-off rather than exactly; it is not
-    re-symmetrized.  A ``BufferedInverse`` ``inv`` is updated and returned:
-    its old ``matrix`` is overwritten.  Any other ``SpdInverse`` is first
-    copied into a new ``BufferedInverse``, which is bordered and returned, so
-    the caller's M^{-1} is left alone.
+    re-symmetrized.  ``inv`` is updated and returned: its old ``matrix`` is
+    overwritten.
 
     kucb's Schur complement is k(s, s) + lam - k^T (K + lam I)^{-1} k >= lam,
     and the config rejects lam <= 0, so no retry at c + jitter is made; the
@@ -257,8 +242,6 @@ def schur_extend_jittered(
     it.  The two bordering functions exist until ROADMAP item 2 retires the
     dictionary's ``schur_extend``.
     """
-    if not isinstance(inv, BufferedInverse):
-        inv = BufferedInverse.copy_of(inv.matrix)
     n = inv.dim
     w, s = _schur_step(inv.matrix, b, c)
     top = inv._room("_work", n * n).reshape((n, n), order="F")

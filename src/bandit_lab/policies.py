@@ -44,8 +44,8 @@ its anchors Z the same way.  Every kernel call goes through ``_gram`` or
 ``_diag``, bound to the policy's kernel and to the size of the first context
 it packs; a context of another size is an error.  Only ``update`` packs a
 state's own row; ``choose`` hands it what the state was scored with, keyed by
-the row's bytes (``_KernelPolicy._scored``).  kucb's k(s, s) is ``_diag``'s,
-as ``choose`` scores it; the projected policies' is a 1-by-1 ``_gram``.
+the row's bytes (``_KernelPolicy._scored``).  Every kernel policy takes
+k(s, s) from ``_diag``, as ``choose`` scores it.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ class _KernelPolicy:
         return diag_packed(self.kernel, a, self._context_dim)
 
     def _column(self, block: np.ndarray, row: np.ndarray) -> np.ndarray:
-        """k(b, s) for each packed row b of ``block``; k(s, s) is a 1-row block."""
+        """k(b, s) for each packed row b of ``block``."""
         return self._gram(block, row[None, :])[:, 0]
 
     def _hand_off(self, key: bytes, *scored) -> None:
@@ -399,7 +399,12 @@ class ProjectedKernelUcb(_KernelPolicy):
         return idx
 
     def _bootstrap(self, row: np.ndarray, k_self: float, reward: float) -> None:
-        """Admit the first state without a coin, so the sampler stream is unchanged."""
+        """Admit the first state without a coin, so ``scores`` has an anchor to project on.
+
+        An empty dictionary's coin would be min(gamma 1.5 k / (k + mu), 1), below 1
+        whenever gamma 1.5 k < k + mu (0.68 on the benchmark's ``nystrom_bump``), so
+        a coin could leave the dictionary empty.
+        """
         self._append_state(row, np.zeros(0), reward)
         self.dictionary.seed(row, k_self)
         self._admit_anchor(row, np.zeros(0), k_self)
@@ -438,7 +443,7 @@ class ProjectedKernelUcb(_KernelPolicy):
 
     def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
         row = self._row(context, action)
-        k_self = float(self._column(row[None, :], row)[0])
+        k_self = float(self._diag(row[None, :])[0])
         if self.t == 0:
             self._bootstrap(row, k_self, reward)
             return
@@ -502,7 +507,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
     def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
         row = self._row(context, action)
         if self.t == 0:
-            self._bootstrap(row, float(self._column(row[None, :], row)[0]), reward)
+            self._bootstrap(row, float(self._diag(row[None, :])[0]), reward)
             return
         kz = self._column(self.dictionary.packed, row)
         (var_s,) = self._scored(row) or self._variances(kz[:, None], self._diag(row[None, :]))

@@ -205,57 +205,23 @@ def test_projected_incremental_state_matches_dense_rebuild():
     assert rel_drift(policy.cross, want["cross"]) < 1e-6
 
 
-class _ExactWidthMatrix(GrowableMatrix):
-    """The cross block's earlier layout: every column append copies to the exact width."""
-
-    def append_col(self, col):
-        self.__init__(np.column_stack([self.view, col]))
-
-
-def test_cross_block_is_exact_past_the_spare_column_switch(monkeypatch):
-    # from 4 anchors on the cross block has spare columns and each admission
-    # writes its column in place; the policy must keep the bits it had when
-    # every admission copied the block to its exact width
-    def run():
-        rng = np.random.default_rng(6)
-        policy = make_projected(gamma=0.5, seed=4)
-        sizes = set()
-        for _ in range(80):
-            policy.update(*random_state(rng), rng.normal())
-            sizes.add(policy.dictionary.size)
-        return policy, sizes
-
-    policy, sizes = run()
-    monkeypatch.setattr(policies, "GrowableMatrix", _ExactWidthMatrix)
-    reference, _ = run()
-    # past the switch at 4 columns and the doubling at 9, with spare columns left
-    assert {3, 4, 8, 9} <= sizes and policy.dictionary.size < policy.t
-    assert policy._cross._buf.shape[1] > policy.dictionary.size
-    assert type(reference._cross) is _ExactWidthMatrix
-    assert reference._cross._buf.shape[1] == reference.dictionary.size
-    assert np.array_equal(policy.cross, reference.cross)
-    assert np.array_equal(policy.lambda_inverse.matrix, reference.lambda_inverse.matrix)
-    assert np.array_equal(policy.gamma_vec, reference.gamma_vec)
-    # gram_packed rounds a whole block differently from the rows and columns
-    # the policy assembles it from, so the dense gram agrees to rounding only
-    want = gram_packed(GAUSS, policy.dictionary.packed, policy.history)
-    assert np.allclose(policy.cross, want, rtol=0.0, atol=1e-13)
-
-
 def test_projected_update_reads_each_state_once(monkeypatch):
     # the sampler scores and admits the state from the K_Z(s) and k(s, s)
     # that the update computed for itself, so neither is computed twice; K_Z(s)
-    # is the column whose block is the anchors, k(s, s) the one whose block is
-    # the state's own row, where an admission's history column reads a copy
+    # is the column whose block is the anchors, k(s, s) the state's ``_diag``
     calls = {"k_z": 0, "k_self": 0}
-    column = policies._KernelPolicy._column
+    column, diag = policies._KernelPolicy._column, policies._KernelPolicy._diag
 
     def counted_column(self, block, row):
         calls["k_z"] += block is self.dictionary.packed
-        calls["k_self"] += np.shares_memory(block, row)
         return column(self, block, row)
 
+    def counted_diag(self, a):
+        calls["k_self"] += 1
+        return diag(self, a)
+
     monkeypatch.setattr(policies._KernelPolicy, "_column", counted_column)
+    monkeypatch.setattr(policies._KernelPolicy, "_diag", counted_diag)
     rng = np.random.default_rng(12)
     policy = make_projected(gamma=2.0, seed=13)
     admitted = []
@@ -284,12 +250,11 @@ SELF_KERNEL_SPECS = {
 
 
 @pytest.mark.parametrize("family", sorted(SELF_KERNEL_SPECS))
-def test_policies_take_k_s_s_bit_for_bit_from_a_one_by_one_gram(monkeypatch, family):
-    # the projected policies' k(s, s) is the 1-by-1 gram_packed that
-    # evaluate(s, s) runs, not diag_packed: for the gaussian family the two
-    # differ in the last bit on some states, and the shipped runs' records
-    # follow these bits.  kucb's is diag_packed's, as choose scores it, so an
-    # update borders with the same k(s, s) with or without a choose before it
+def test_policies_take_k_s_s_from_diag(monkeypatch, family):
+    # every kernel policy takes k(s, s) from diag_packed, as choose scores it,
+    # so an update borders or scores with the same k(s, s) with or without a
+    # choose before it; for the gaussian family the 1-by-1 gram that
+    # evaluate(s, s) runs differs from it in the last bit on some states
     spec = SELF_KERNEL_SPECS[family]
     seen = []
     seed, kors_step = Dictionary.seed, policies.kors_step
@@ -319,12 +284,12 @@ def test_policies_take_k_s_s_bit_for_bit_from_a_one_by_one_gram(monkeypatch, fam
         spec, 1.0, KorsParams(mu=1.0, gamma=1e-12), FIXED,
         np.random.default_rng(34), np.random.default_rng(35),
     )
-    values = []
+    grams = []
     for t in range(300):
         x, a = random_state(rng)
         s = StatePoint(x, a)
-        want = evaluate(spec, s, s)
-        values.append(want)
+        grams.append(evaluate(spec, s, s))
+        want = kernels.diag_packed(spec, s.joint[None, :], context_dim=x.size)[0]
         del seen[:]
         # choose scores a block of candidates; the update of its pick with
         # no choose before it must border with the same k(s, s)
@@ -348,7 +313,7 @@ def test_policies_take_k_s_s_bit_for_bit_from_a_one_by_one_gram(monkeypatch, fam
         assert seen == [("seed" if t == 0 else "kors_step", want)]
     assert ekucb.dictionary.size == 1
     if family == "gaussian":
-        assert any(v != 1.0 for v in values)
+        assert any(v != 1.0 for v in grams)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -368,10 +333,10 @@ def test_update_rejects_a_non_finite_coordinate(name, bad):
 
 @pytest.mark.parametrize(
     "name, per_round",
-    # ekucb: scores, k(s, s) and K_Z(s); kucb: scores, its update reusing the
-    # chosen history column and k(q, q); cbbkb: scores and K_Z(s), its
-    # variance reusing that column
-    [("ekucb", 3), ("kucb", 1), ("cbbkb", 2)],
+    # ekucb: scores and K_Z(s), its k(s, s) a diag; kucb: scores, its update
+    # reusing the chosen history column and k(q, q); cbbkb: scores and K_Z(s),
+    # its variance reusing that column
+    [("ekucb", 2), ("kucb", 1), ("cbbkb", 2)],
 )
 def test_kernel_work_per_round(monkeypatch, name, per_round):
     # the kernel-layer twin of the test above: a round that neither admits an
@@ -628,6 +593,33 @@ def test_refactor_is_a_no_op_on_healthy_state():
         after = policy.scores(ctx, queries)
         assert np.allclose(before[0], after[0], atol=1e-9)
         assert np.allclose(before[1], after[1], atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["ekucb", "cbbkb"])
+def test_lambda_inverse_stays_exactly_symmetric(name):
+    # the rank-one step, an admission's bordering, a resample's dense rebuild
+    # and a forced refactor() each leave Lam equal to its transpose bit for
+    # bit, so no asymmetry compounds over a run
+    rng = np.random.default_rng(23)
+    if name == "ekucb":
+        policy = make_projected(gamma=4.0, seed=11)
+    else:
+        policy = make_resampling(1.5, seed=5, lam=10.0)
+    sizes = []
+    for t in range(60):
+        if t == 30:
+            policy.refactor()
+            m = policy.lambda_inverse.matrix
+            assert np.array_equal(m, m.T)
+        policy.update(*random_state(rng), rng.normal())
+        m = policy.lambda_inverse.matrix
+        assert np.array_equal(m, m.T)
+        sizes.append(policy.dictionary.size)
+    if name == "ekucb":
+        # admissions both before and after the refactor
+        assert sizes[0] < sizes[29] < sizes[-1]
+    else:
+        assert policy.resample_count >= 2
 
 
 @pytest.mark.parametrize("name", ["ekucb", "cbbkb"])
