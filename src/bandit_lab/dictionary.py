@@ -21,10 +21,9 @@ with eps fixed at 0.5, since eps only rescales gamma.  The matrix
 (S K_ZZ S + mu I)^{-1} is maintained incrementally alongside K_ZZ^{-1}, and
 sqrt(p_i) is kept beside p_i, so a score costs O(m^2) after O(m) kernel
 evaluations and derives no weight.  The sampler lives here alone:
-``kors_step`` scores and draws one state online, ``kors_resample`` scores and
-redraws a whole history (the resampling baselines) by the same weighting and
-inclusion rule, and ``Dictionary.refactor`` rebuilds both inverses densely
-for a policy's drift recovery.
+``kors_step`` scores and draws one state online, and ``kors_resample`` scores
+and redraws a whole history (the resampling baselines) by the same weighting
+and inclusion rule; a policy's drift recovery leaves both inverses alone.
 
 Anchors are stored only as packed joint rows, the form ``gram_packed``
 consumes, and every function here takes a state as such a row or as K_Z(s)
@@ -40,6 +39,7 @@ import numpy as np
 
 from .kernels import KernelSpec, gram_packed
 from .linalg import (
+    SINGULAR_TOL,
     NearSingularExtensionError,
     SpdInverse,
     dense_spd_inverse,
@@ -48,6 +48,7 @@ from .linalg import (
 )
 
 INFLATION = 1.5  # KORS's (1 + eps) overestimate factor, eps = 0.5
+ADMIT_TOL = 1e-6  # an anchor's pivot squared must reach ADMIT_TOL k(s, s), and SINGULAR_TOL
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,10 @@ class Dictionary:
     and ``sqrt_probs`` the roots of their ``probs``.  ``kzz_inverse`` inverts
     K_ZZ (for the projected variance correction); ``score_inverse`` inverts
     S K_ZZ S + mu I (for the leverage estimator).  All grow as anchors are
-    admitted.  ``rejected_duplicates`` counts candidates whose admission would
-    have made K_ZZ numerically singular; they are dropped, not merged.  The
-    count covers the whole run, as ``kors_resample`` carries it over.
+    admitted.  ``rejected_duplicates`` counts the states dropped, not merged,
+    because the anchors nearly span them: a pivot squared below
+    max(SINGULAR_TOL, ADMIT_TOL k(s, s)) online, or SINGULAR_TOL in a resample;
+    ``kors_resample`` carries the count over, so it covers the whole run.
     """
 
     mu: float
@@ -135,8 +137,9 @@ class Dictionary:
         self, row: np.ndarray, k_self: float, prob: float, step: int, kz: np.ndarray
     ) -> bool:
         """Extend both inverses by one anchor; reject near-duplicates."""
+        floor = max(SINGULAR_TOL, ADMIT_TOL * k_self)
         try:
-            new_kzz = schur_extend(self.kzz_inverse, kz, k_self)
+            new_kzz = schur_extend(self.kzz_inverse, kz, k_self, floor)
         except NearSingularExtensionError:
             self.rejected_duplicates += 1
             return False
@@ -156,22 +159,11 @@ class Dictionary:
         if not self._admit(row, k_self, 1.0, 0, np.zeros(0)):
             raise ValueError("bootstrap state rejected as duplicate")
 
-    def refactor(self, kzz: np.ndarray, jitter: float) -> None:
-        """Rebuild both inverses densely from the anchor gram; each retries once at + jitter I."""
-        self.kzz_inverse = dense_spd_inverse(kzz, jitter=jitter)
-        self.score_inverse = dense_score_inverse(kzz, self.sqrt_probs, self.mu, jitter)
-
 
 def leverage_estimate(k, r, params: KorsParams):
     """tau = 1.5 max(k - r, 0) / max(k + mu - r, mu), for scalars or arrays."""
     gap = np.maximum(k - r, 0.0)
     return INFLATION * gap / np.maximum(k + params.mu - r, params.mu)
-
-
-def dense_score_inverse(kzz: np.ndarray, sqrt_probs, mu: float, jitter: float = 0.0) -> SpdInverse:
-    """(S K_ZZ S + mu I)^{-1} with S = diag(1 / sqrt_probs), from one factorization."""
-    scaled = kzz / np.outer(sqrt_probs, sqrt_probs)
-    return dense_spd_inverse(scaled + mu * np.eye(scaled.shape[0]), jitter=jitter)
 
 
 def leverage_score(d: Dictionary, kz: np.ndarray, k_self: float, params: KorsParams) -> float:
@@ -232,12 +224,14 @@ def rebuild_dictionary(
     ``states`` are packed joint rows; ``context_dim`` splits them for tensor
     kernels, as in ``gram_packed``.  ``in_order_inverse`` drops a state whose
     pivot squared, its Schur complement against the states kept before it, is
-    below ``SINGULAR_TOL``, the rule online admission applies, and counts it
-    in ``rejected_duplicates``.  It makes one Cholesky factorization when it
-    drops no state, and one more per dropped state.
+    below ``SINGULAR_TOL``, and counts it in ``rejected_duplicates``: online
+    admission's floor without its ADMIT_TOL k(s, s) term.  It makes one
+    Cholesky factorization when it drops no state, and one more per dropped one.
     """
     k = gram_packed(spec, states, states, context_dim=context_dim)
     kept, kzz_inverse = in_order_inverse(k)
+    root = np.sqrt(probs[kept])  # S K_ZZ S + mu I, S = diag(1 / root), for the score inverse
+    scaled = k[np.ix_(kept, kept)] / np.outer(root, root) + mu * np.eye(kept.size)
     return Dictionary(
         mu=mu,
         rng=rng,
@@ -245,7 +239,7 @@ def rebuild_dictionary(
         probs=[float(probs[i]) for i in kept],
         steps=[steps[i] for i in kept],
         kzz_inverse=kzz_inverse,
-        score_inverse=dense_score_inverse(k[np.ix_(kept, kept)], np.sqrt(probs[kept]), mu),
+        score_inverse=dense_spd_inverse(scaled),
         rejected_duplicates=len(states) - kept.size,
     )
 

@@ -23,28 +23,31 @@ in tests and as the rebuild path for policies that refactor after drift; an
 in-order variant applies the one-row extension's singularity rule at once.
 
 ``scipy`` is imported bare and every call goes through ``_lapack()``, which
-reads ``scipy.linalg``.  scipy loads ``scipy.linalg`` on first attribute
-access, so a process pays for that import, about half of the package's import
-time, only when a run first factors a matrix or borders kucb's inverse.  A
-``kucb`` run loads it, and pins scipy's pool as below, on its second update,
-the first with a history to border; ``random`` and drift-free ``ekucb`` runs
-never do.  The module-level name also lets a caller swap ``linalg.scipy`` for
+loads ``scipy.linalg`` on its first call, so a process pays for that import,
+about half of the package's import time, only when a run first factors a
+matrix or borders kucb's inverse: a ``kucb`` run on its second update, the
+first with a history to border, and ``random`` and drift-free ``ekucb`` runs
+never.  The module-level name also lets a caller swap ``linalg.scipy`` for
 a view, as the benchmark tracer does to count ``cho_factor`` attempts; a
 function-level ``import scipy.linalg`` would bypass such a view silently.
 
 The numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 thread pool.  On a machine with few cores the two pools' spinning workers
 compete with the main thread, and a ``cho_solve`` interleaved with numpy BLAS
-calls can run several times slower than alone.  So ``_lapack()`` pins scipy's
-pool to one thread the first time it is called, for the whole process.
-numpy's pool is left alone: every per-round update and score but kucb's
-bordering runs there, and pinning it changes their rounding.  Where scipy's
-OpenBLAS does not export the setter, threading is left as it is.
+calls can run several times slower than alone.  So ``_lapack()`` loads
+``scipy.linalg`` with ``OPENBLAS_NUM_THREADS=1`` set, so its pool starts no
+worker thread, then restores the variable; a pool started before goes to one
+thread where OpenBLAS exports the setter.  numpy's pool is left alone: every
+per-round update and score but kucb's bordering runs there, and pinning it
+changes their rounding.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,20 +74,29 @@ class FactorizationError(LinalgError):
 # singular rather than divided through.
 SINGULAR_TOL = 1e-12
 
+
 _scipy_pinned = False
 
 
 def _lapack():
-    """``scipy.linalg``, with scipy's OpenBLAS pinned to one thread on first use."""
+    """``scipy.linalg``, with scipy's OpenBLAS at one thread from the first call on."""
     global _scipy_pinned
-    la = scipy.linalg
     if not _scipy_pinned:
-        try:
-            ctypes.CDLL(la._flapack.__file__).scipy_openblas_set_num_threads(1)
+        if "scipy.linalg" not in sys.modules:  # OpenBLAS sizes its pool as it loads
+            previous = os.environ.get("OPENBLAS_NUM_THREADS")
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            try:
+                importlib.import_module("scipy.linalg")
+            finally:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+                if previous is not None:
+                    os.environ["OPENBLAS_NUM_THREADS"] = previous
+        try:  # a pool started before the first call goes to one thread
+            ctypes.CDLL(scipy.linalg._flapack.__file__).scipy_openblas_set_num_threads(1)
         except (AttributeError, OSError):
             pass
         _scipy_pinned = True
-    return la
+    return scipy.linalg
 
 
 @dataclass
@@ -174,17 +186,17 @@ class BufferedInverse:
         return getattr(self, name)[:size]
 
 
-def _schur_step(m: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+def _schur_step(m: np.ndarray, b: np.ndarray, c: float, tol: float) -> tuple[np.ndarray, float]:
     """w = M^{-1} b and the Schur complement s = c - b^T w of a one-row extension.
 
-    ``m`` is M^{-1}.  Raises ``NearSingularExtensionError`` when s < 1e-12.
+    ``m`` is M^{-1}.  Raises ``NearSingularExtensionError`` when s < ``tol``.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape[0] != m.shape[0]:
         raise ValueError("border vector must match the inverse dimension")
     w = m @ b
     s = float(c) - float(b @ w)
-    if s < SINGULAR_TOL:
+    if s < tol:
         raise NearSingularExtensionError(f"schur complement {s:.3e}")
     return w, s
 
@@ -197,7 +209,7 @@ def _border(out: np.ndarray, w: np.ndarray, s: float) -> None:
     out[n, n] = 1.0 / s
 
 
-def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
+def schur_extend(inv: SpdInverse, b: np.ndarray, c: float, tol: float = SINGULAR_TOL) -> SpdInverse:
     """Inverse of the bordered matrix [[M, b], [b^T, c]] given M^{-1}.
 
     With s = c - b^T M^{-1} b and w = M^{-1} b the blocks are
@@ -206,15 +218,15 @@ def schur_extend(inv: SpdInverse, b: np.ndarray, c: float) -> SpdInverse:
         top-right  -w / s
         corner     1 / s
 
-    Raises ``NearSingularExtensionError`` when s < 1e-12, which is how
-    near-duplicate rows surface to callers.  A symmetric M^{-1} gives an
-    exactly symmetric result, because w_i w_j = w_j w_i in floating point.
+    Raises ``NearSingularExtensionError`` when s < ``tol`` (the dictionary's
+    admission floor, or 1e-12), before the (n+1)-square result is built.  A
+    symmetric M^{-1} gives an exactly symmetric result: w_i w_j = w_j w_i.
 
     This is the dictionary's bordering step, on fresh arrays, so the inverse
     it was handed stays valid.  ``schur_extend_jittered`` computes the same
     blocks in place for kucb; the two differ in rounding.
     """
-    w, s = _schur_step(inv.matrix, b, c)
+    w, s = _schur_step(inv.matrix, b, c, tol)
     n = inv.dim
     out = np.empty((n + 1, n + 1))
     out[:n, :n] = inv.matrix + np.outer(w, w) / s
@@ -243,7 +255,7 @@ def schur_extend_jittered(inv: BufferedInverse, b: np.ndarray, c: float) -> Buff
     dictionary's ``schur_extend``.
     """
     n = inv.dim
-    w, s = _schur_step(inv.matrix, b, c)
+    w, s = _schur_step(inv.matrix, b, c, SINGULAR_TOL)
     top = inv._room("_work", n * n).reshape((n, n), order="F")
     top[...] = inv.matrix
     if n:  # dger rejects an empty matrix
@@ -298,7 +310,7 @@ def in_order_inverse(m: np.ndarray) -> tuple[np.ndarray, SpdInverse]:
 
     An in-order Cholesky factorization drops row i when its pivot squared, its
     Schur complement against the rows kept before it, is below SINGULAR_TOL:
-    the rule ``schur_extend`` applies one row at a time.  With nothing dropped
+    ``schur_extend``'s default rule, applied at once.  With nothing dropped
     this is one LAPACK call; a dropped row restarts it on the rows after it.
     """
     la = _lapack()

@@ -10,10 +10,10 @@ Four policies share one interface (``choose(context, actions) -> index``,
   chosen state with, so a round evaluates one kernel block.
 * ``ProjectedKernelUcb``   the same posterior projected onto a Nystrom
   dictionary grown online by leverage-score sampling; rounds cost O(m^2) or
-  O(t m) when an anchor is admitted, plus an O(t m^2) dense rebuild when the
-  rank-one update's denominator is near zero or an admission's Schur
-  complement is not positive (``rebuilds``, by trigger; the shipped presets
-  make hundreds of the second kind).
+  O(t m) when an anchor is admitted, plus an O(t m^2) dense rebuild of Lam
+  and Gam when the rank-one update's denominator is near zero or an
+  admission's Schur complement is not positive (``rebuilds``, by trigger;
+  the shipped presets make about a hundred of the second kind).
 * ``ResamplingKernelUcb``  a baseline that keeps the dictionary frozen between
   full resamples triggered by the summed variance of its chosen actions.
 * ``UniformRandomPolicy``  uniform action choice; the regret floor.
@@ -32,11 +32,10 @@ and coincides with the exact posterior whenever Z spans the history.
 ``_variances`` builds the correction Lam - K_ZZ^{-1} / lam on each call, once
 a round in ``choose``, whose variances the resampling update reuses;
 K_ZZ^{-1} / lam is kept beside the dictionary inverse it was divided from and
-divided again only when that inverse is replaced (an admission, ``refactor``
-or a resample).  Both projected policies rebuild Lam and Gam densely through
-one method, which ``refactor`` and every resample call.  A resample draws its
-anchors in ``kors_resample``, whose ``rebuild_dictionary`` makes one Cholesky
-factorization when it drops no state, and one more per dropped state.
+divided again only when an admission or a resample replaces that inverse.
+Both projected policies rebuild Lam and Gam densely through one method, which
+``refactor`` and every resample call; a resample draws its anchors in
+``kors_resample`` (see ``ResamplingKernelUcb``).
 
 States are stored only as packed joint rows: the history S is one
 (context, action) row per round beside the rewards, and the dictionary keeps
@@ -428,7 +427,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         positive definite; that is recoverable, so it falls back to a dense
         rebuild instead of failing the run.  The bordering step itself is not
         retried at c + jitter, which rescued none of these admissions on the
-        shipped presets; the rebuild's inverses are (see ``refactor``).
+        shipped presets; the rebuild's Lam is (see ``refactor``).
         """
         ks_z = self._column(self.history, row)
         b = self._cross.view.T @ ks_z + self.lam * kz
@@ -455,21 +454,15 @@ class ProjectedKernelUcb(_KernelPolicy):
             self._admit_anchor(row, kz, k_self)
 
     def refactor(self) -> None:
-        """Rebuild Lam, Gam and both dictionary inverses densely; drift recovery path.
+        """Drift recovery: rebuild Lam and Gam densely; the dictionary's inverses are kept."""
+        self._dense_posterior()
 
-        Each inverse retries once at M + jitter I.  Most rebuilds on the presets
-        retry Lam and K_ZZ, so ``kzz_inverse`` is then (K_ZZ + jitter I)^{-1}.
-        """
-        self.dictionary.refactor(self._dense_posterior(), self._jitter)
-
-    def _dense_posterior(self) -> np.ndarray:
-        """Rebuild Lam and Gam from the cross block; returns the anchor gram K_ZZ."""
+    def _dense_posterior(self) -> None:
+        """Rebuild Lam, retrying once at + jitter I, and Gam from the cross block and K_ZZ."""
         kzs = self.cross
         kzz = self._gram(self.dictionary.packed, self.dictionary.packed)
-        base = kzs @ kzs.T + self.lam * kzz
-        self.lambda_inverse = dense_spd_inverse(base, jitter=self._jitter)
+        self.lambda_inverse = dense_spd_inverse(kzs @ kzs.T + self.lam * kzz, jitter=self._jitter)
         self.gamma_vec = kzs @ self.rewards
-        return kzz
 
 
 class ResamplingKernelUcb(ProjectedKernelUcb):

@@ -6,6 +6,7 @@ import pytest
 
 from bandit_lab import linalg
 from bandit_lab.dictionary import (
+    ADMIT_TOL,
     Dictionary,
     KorsParams,
     kors_resample,
@@ -15,7 +16,7 @@ from bandit_lab.dictionary import (
     rebuild_dictionary,
 )
 from bandit_lab.kernels import KernelSpec, gram_packed
-from bandit_lab.linalg import dense_spd_inverse
+from bandit_lab.linalg import SINGULAR_TOL, dense_spd_inverse
 
 GAUSS = KernelSpec("gaussian", bandwidth=0.4)
 CTX_DIM = 2
@@ -113,6 +114,46 @@ def test_duplicate_candidate_rejected_not_added():
     assert not step(d, 1, s, params)
     assert d.size == 1
     assert d.rejected_duplicates == 1
+
+
+def near_pair(offset):
+    """A state, the state moved by ``offset`` along its first coordinate, and the
+    second's pivot squared against the first, 1 - k^2 under the gaussian kernel."""
+    a = random_state(np.random.default_rng(8))
+    s = a + np.array([offset, 0.0, 0.0])
+    k = float(gram_packed(GAUSS, a[None, :], s[None, :])[0, 0])
+    return a, s, 1.0 - k * k
+
+
+@pytest.mark.parametrize("offset, admitted", [(4e-5, False), (4.4e-4, True)])
+def test_admission_floor_is_relative_to_k_s_s(offset, admitted):
+    # a pivot squared above SINGULAR_TOL but below ADMIT_TOL k(s, s) is refused
+    # and counted as a duplicate; one just above that floor is admitted
+    a, s, pivot2 = near_pair(offset)
+    floor = ADMIT_TOL * k_self(s)
+    if admitted:
+        assert floor < pivot2 < 1.5 * floor
+    else:
+        assert 1e3 * SINGULAR_TOL < pivot2 < floor / 10
+    d = Dictionary(mu=1.0, rng=np.random.default_rng(7))
+    params = KorsParams(mu=1.0, gamma=math.inf)
+    assert step(d, 0, a, params)
+    assert step(d, 1, s, params) is admitted
+    assert d.size == 1 + admitted
+    assert d.rejected_duplicates == (not admitted)
+
+
+def test_rebuild_keeps_a_pivot_that_online_admission_refuses():
+    # a resample drops a state by the absolute SINGULAR_TOL alone, so it keeps
+    # a pivot squared between SINGULAR_TOL and ADMIT_TOL k(s, s) that online
+    # admission refuses; ROADMAP item 9 would change this on purpose
+    a, s, pivot2 = near_pair(4e-5)
+    assert SINGULAR_TOL < pivot2 < ADMIT_TOL * k_self(s)
+    d = rebuild_dictionary(
+        np.array([a, s]), np.array([0.5, 0.5]), [0, 1], 1.0, GAUSS, np.random.default_rng(9)
+    )
+    assert np.array_equal(d.packed, np.array([a, s]))
+    assert d.rejected_duplicates == 0
 
 
 def test_same_seed_same_dictionary():

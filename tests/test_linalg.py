@@ -404,3 +404,55 @@ def test_first_factorization_pins_scipy_blas_to_one_thread():
         pytest.skip("this scipy or numpy build does not bundle OpenBLAS")
     before, after = json.loads(done.stdout)
     assert after == [1, before[1]]
+
+
+LOAD_PROBE = """
+import ctypes
+import json
+import os
+import sys
+import numpy as np
+from bandit_lab.linalg import dense_spd_inverse
+assert "scipy.linalg" not in sys.modules
+try:
+    numpy_get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+except (AttributeError, OSError):
+    print("absent")
+    raise SystemExit
+def state():
+    return len(os.listdir("/proc/self/task")), numpy_get(), os.environ.get("OPENBLAS_NUM_THREADS")
+before = state()
+dense_spd_inverse(2 * np.eye(3))
+import scipy.linalg
+try:
+    scipy_get = ctypes.CDLL(scipy.linalg._flapack.__file__).scipy_openblas_get_num_threads
+except (AttributeError, OSError):
+    print("absent")
+    raise SystemExit
+print(json.dumps([before, state(), scipy_get()]))
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_first_factorization_loads_scipy_blas_at_one_thread(threads):
+    # scipy.linalg is loaded at one OpenBLAS thread, so its pool starts no
+    # worker: the first factorization adds no OS thread, numpy's pool keeps
+    # its size and the caller's OPENBLAS_NUM_THREADS is as it was
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counting a process's threads needs Linux's /proc")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+        env.pop(name, None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "absent":
+        pytest.skip("this scipy or numpy build does not bundle OpenBLAS")
+    before, after, scipy_threads = json.loads(done.stdout)
+    assert after == before
+    assert before[2] == threads
+    assert scipy_threads == 1

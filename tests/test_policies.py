@@ -1,12 +1,15 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from bandit_lab import kernels, linalg, policies
+from bandit_lab import harness, kernels, linalg, policies
 from bandit_lab._grow import GrowableMatrix
+from bandit_lab.config import expand_variants, parse_config_text
 from bandit_lab.dictionary import Dictionary, KorsParams
 from bandit_lab.kernels import KernelSpec, StatePoint, evaluate, gram_packed
 from bandit_lab.linalg import SINGULAR_TOL, SpdInverse, dense_spd_inverse
@@ -667,9 +670,11 @@ def test_indefinite_admission_recovers_via_dense_rebuild():
 
 
 def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
-    # the dense rebuild's inverses retry once at M + jitter I: two identical
-    # anchors make K_ZZ exactly singular, so its first Cholesky fails, and
-    # the rebuilt K_ZZ^{-1} is the inverse of K_ZZ + jitter I
+    # the dense rebuild factors Lam's base K_ZS K_SZ + lam K_ZZ once and
+    # retries once at + jitter I: two identical anchors make that base
+    # exactly singular, so its first Cholesky fails.  The dictionary's
+    # bordered K_ZZ^{-1} and score inverse are kept, the same objects as
+    # before, and nothing else is factored
     rng = np.random.default_rng(40)
     policy = make_projected(gamma=1e-12, seed=41)
     for _ in range(6):
@@ -681,6 +686,8 @@ def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
     policy._cross = GrowableMatrix(gram_packed(GAUSS, policy.history, d.packed))
     kzz = gram_packed(GAUSS, d.packed, d.packed)
     assert np.array_equal(kzz, np.ones((2, 2)))
+    base = policy.cross @ policy.cross.T + policy.lam * kzz
+    kept = (d.kzz_inverse, d.score_inverse)
     real = linalg._lapack()
     factored = []  # (matrix, whether its Cholesky succeeded), in call order
 
@@ -699,11 +706,33 @@ def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
 
     monkeypatch.setattr(linalg, "_lapack", View)
     policy.refactor()
-    jittered = kzz + policy._jitter * np.eye(2)
-    assert [ok for m, ok in factored if np.array_equal(m, kzz)] == [False]
-    assert [ok for m, ok in factored if np.array_equal(m, jittered)] == [True]
-    want = dense_spd_inverse(kzz, jitter=policy._jitter)
-    assert np.array_equal(policy.dictionary.kzz_inverse.matrix, want.matrix)
+    jittered = base + policy._jitter * np.eye(2)
+    assert [ok for _, ok in factored] == [False, True]
+    assert np.array_equal(factored[0][0], base)
+    assert np.array_equal(factored[1][0], jittered)
+    assert policy.dictionary.kzz_inverse is kept[0]
+    assert policy.dictionary.score_inverse is kept[1]
+    want = dense_spd_inverse(base, jitter=policy._jitter)
+    assert np.array_equal(policy.lambda_inverse.matrix, want.matrix)
+
+
+def test_a_preset_run_s_anchor_gram_factors_in_admission_order(monkeypatch):
+    # from raw data alone: the anchors stepdiag ekucb_mu1 seed 1 holds after
+    # 400 rounds give a K_ZZ that np.linalg.cholesky factors in admission
+    # order, every pivot squared at least 1e-8 k(s, s).  Admission refuses a
+    # pivot squared below 1e-6 k(s, s), but reads it through the explicit
+    # K_ZZ^{-1}, which overestimates it, so the floor checked here is looser
+    text = resources.files("bandit_lab").joinpath("presets", "stepdiag_sweep.cfg").read_text()
+    config = next(c for c in expand_variants(*parse_config_text(text)) if c.label == "ekucb_mu1")
+    original, built = harness.build_policy, []
+    monkeypatch.setattr(harness, "build_policy", lambda *a: built.append(original(*a)) or built[0])
+    record = harness.run_single(replace(config, horizon=400), 1)
+    assert record.error is None and record.rounds == 400
+    anchors = built[0].dictionary.packed
+    assert anchors.shape[0] > 50
+    kzz = gram_packed(config.kernel, anchors, anchors)
+    pivots2 = np.diag(np.linalg.cholesky(kzz)) ** 2
+    assert (pivots2 >= 1e-8 * np.diag(kzz)).all()
 
 
 def test_admission_in_the_jitter_window_rebuilds(monkeypatch):

@@ -1,15 +1,17 @@
 """The pinned run sets keep their records, and a moved run is named.
 
 Runs ``scripts/record_digest.py --check`` on every set but ``presets_1d``,
-one test per group of sets (about 10 s in all; see the script's docstring
-for the sets, the table ``tests/pinned_records.json`` and the BLAS build the
-pins hold for).  The benchmark bounds regret per round at 5%, which lets a last-bit change
+one test per group of sets, and two of them again with numpy's and scipy's
+OpenBLAS at one thread (about 12 s in all; see the script's docstring for the
+sets, the table ``tests/pinned_records.json`` and the BLAS build the pins
+hold for).  The benchmark bounds regret per round at 5%, which lets a last-bit change
 through, so a "bit-identical" claim is checked here.
 """
 
 import copy
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,10 +24,12 @@ record_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(record_digest)
 
 
-def assert_sets_match(*names):
-    """``record_digest.py --check`` on ``names`` exits 0; its report on failure."""
+def assert_sets_match(*names, **env):
+    """``record_digest.py --check`` on ``names`` under ``env`` exits 0; its report on failure."""
     args = [sys.executable, str(SCRIPT), "--check", *names]
-    proc = subprocess.run(args, capture_output=True, text=True, cwd=SCRIPT.parents[1])
+    proc = subprocess.run(
+        args, capture_output=True, text=True, cwd=SCRIPT.parents[1], env={**os.environ, **env}
+    )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -39,13 +43,19 @@ def test_preset_resampling_records_match_the_pinned_digest():
 
 
 def test_preset_ekucb_records_match_the_pinned_digest():
-    # presets_1d's 15 ekucb runs cut at T = 400, about 1 s; 10 abort
+    # presets_1d's 15 ekucb runs cut at T = 400, about 1 s; 2 abort
     assert_sets_match("presets_1d:ekucb@400")
 
 
 def test_tensor_kernel_records_match_the_pinned_digest():
     # 16 runs, about 0.3 s; 3 of them abort
     assert_sets_match("tensor")
+
+
+def test_preset_ekucb_and_tensor_records_hold_at_one_blas_thread():
+    # the pins were taken at this host's two BLAS threads; numpy's pool at one
+    # thread must give the same records (ROADMAP item 22), about 3 s
+    assert_sets_match("presets_1d:ekucb@400", "tensor", OPENBLAS_NUM_THREADS="1")
 
 
 def test_the_tests_check_every_set_but_the_whole_of_presets_1d():
