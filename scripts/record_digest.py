@@ -8,8 +8,10 @@ workloads' gaussian one, splits each packed row at the context dimension).
 Per set it prints the runs completed, the rounds, the regret per round (as the
 benchmark defines it: total regret over rounds played, aborted runs included)
 and one SHA-256 over every record's label, seed, chosen indices, rewards,
-cumulative regret, dictionary sizes, error and rebuild, resample and
-rejected-duplicate counters, floats by their round-trip ``repr``: two trees
+cumulative regret, dictionary sizes, error and three counters taken from
+``RunRecord.counters`` (``rebuilds``, the sum of ``rebuilds_singular_update``
+and ``rebuilds_indefinite_admission``; ``resamples``; ``rejected_duplicates``;
+0 where a policy has none), floats by their round-trip ``repr``: two trees
 print the same digest exactly when every run is bit-identical.  Usage, from
 the root of a checkout (about 20 s on a 2-core host for the four workloads,
 the default; an unknown name exits with status 2; nothing is written)::
@@ -104,16 +106,18 @@ def entry(configs) -> dict:
     for cell in harness.run_sweep(configs):
         for r in cell.records:
             chosen = [int(i) for i in r.chosen]
+            counts = dict.fromkeys(harness.COUNTERS, 0) | r.counters
+            rebuilds = counts["rebuilds_singular_update"] + counts["rebuilds_indefinite_admission"]
             sha.update(json.dumps([
                 cell.config.label, r.seed, chosen, [float(x) for x in r.rewards],
                 [float(x) for x in r.cumulative_regret], [int(m) for m in r.dictionary_sizes],
-                r.error, r.rebuilds, r.resamples, r.rejected_duplicates,
+                r.error, rebuilds, counts["resamples"], counts["rejected_duplicates"],
             ]).encode())
             runs.append({
                 "label": cell.config.label, "seed": r.seed, "rounds": r.rounds, "error": r.error,
                 "regret_per_round": float(r.total_regret) / max(r.rounds, 1),
-                "m": r.final_dictionary_size, "rebuilds": r.rebuilds, "resamples": r.resamples,
-                "rejected_duplicates": r.rejected_duplicates,
+                "m": r.final_dictionary_size, "rebuilds": rebuilds, "resamples": counts["resamples"],
+                "rejected_duplicates": counts["rejected_duplicates"],
                 "chosen_sha256": hashlib.sha256(json.dumps(chosen).encode()).hexdigest(),
             })
     return {"sha256": sha.hexdigest(), "runs": runs}

@@ -154,10 +154,9 @@ class Dictionary:
         self.steps.append(step)
         return True
 
-    def seed(self, row: np.ndarray, k_self: float) -> None:
-        """Admit the bootstrap state, its row and k(s, s), at weight 1 and step 0."""
-        if not self._admit(row, k_self, 1.0, 0, np.zeros(0)):
-            raise ValueError("bootstrap state rejected as duplicate")
+    def seed(self, row: np.ndarray, k_self: float) -> bool:
+        """Admit a first state (row, k(s, s)) at weight 1 and step 0; False if under the floor."""
+        return self._admit(row, k_self, 1.0, 0, np.zeros(0))
 
 
 def leverage_estimate(k, r, params: KorsParams):

@@ -21,8 +21,10 @@ from .diagnostics import complexity_report
 from .dictionary import KorsParams
 from .environments import Environment
 from .kernels import gram_packed
+from .linalg import LinalgError
 from .policies import (
     ExactKernelUcb,
+    NumericalDriftError,
     ProjectedKernelUcb,
     ResamplingKernelUcb,
     UniformRandomPolicy,
@@ -40,6 +42,15 @@ TRACE_COLUMNS = (
 
 # wall-clock columns are the only nondeterministic ones; tests strip them
 NONDETERMINISTIC_COLUMNS = ("step_wall_time_ns",)
+
+# every name a policy's ``counters`` may hold: summary.csv's columns, 0 where it has none
+COUNTERS = (
+    "rebuilds_singular_update",
+    "rebuilds_indefinite_admission",
+    "jitter_retries",
+    "resamples",
+    "rejected_duplicates",
+)
 
 
 def _env_for_run(config: RunConfig, seed: int) -> Environment:
@@ -97,9 +108,7 @@ class RunRecord:
     dictionary_sizes: list[int] = field(default_factory=list)
     wall_ns: list[int] = field(default_factory=list)
     error: str | None = None
-    rebuilds: int = 0
-    resamples: int = 0
-    rejected_duplicates: int = 0
+    counters: dict[str, int] = field(default_factory=dict)
     dictionary_rows: list[tuple] | None = None
 
     @property
@@ -120,7 +129,8 @@ class RunRecord:
 
 
 def run_single(config: RunConfig, seed: int) -> RunRecord:
-    """One seeded run; failures abort the loop and mark the partial record."""
+    """One seeded run; a drift abort (``NumericalDriftError``, ``LinalgError``) ends the
+    loop and marks the partial record, and any other exception propagates."""
     env = _env_for_run(config, seed)
     policy = build_policy(config, seed)
     actions = env.action_grid()
@@ -136,7 +146,7 @@ def run_single(config: RunConfig, seed: int) -> RunRecord:
             resumed = time.perf_counter_ns()
             policy.update(x, actions[idx], outcome.reward)
             finished = time.perf_counter_ns()
-        except Exception as exc:  # noqa: BLE001 - any policy failure ends the run
+        except (NumericalDriftError, LinalgError) as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             break
         cum += outcome.best_value - outcome.chosen_value
@@ -146,9 +156,7 @@ def run_single(config: RunConfig, seed: int) -> RunRecord:
         record.cumulative_regret.append(cum)
         record.dictionary_sizes.append(policy.dictionary_size)
         record.wall_ns.append((mid - started) + (finished - resumed))
-    record.rebuilds = sum(getattr(policy, "rebuilds", {}).values())
-    record.resamples = getattr(policy, "resample_count", 0)
-    record.rejected_duplicates = getattr(policy, "rejected_duplicates", 0)
+    record.counters = dict(policy.counters)
     if config.dump_dictionary and hasattr(policy, "dictionary"):
         d = policy.dictionary  # the columns emit_outputs' header names
         record.dictionary_rows = [
@@ -199,21 +207,13 @@ def max_parallelism(requested: int | None = None) -> int:
 def run_sweep(configs: list[RunConfig], parallelism: int | None = None) -> list[SweepCell]:
     """Run every (config, seed) cell in job order, one at a time, on this thread.
 
-    ``parallelism`` is accepted for the benchmark's caller and not used.  A
-    crashed cell is reported in its record and does not stop its neighbors.
+    ``parallelism`` is accepted for the benchmark's caller and not used.  An
+    aborted run is kept in its record; any other exception leaves the sweep.
     """
-    cells = []
-    for config in configs:
-        records = []
-        for seed in config.seeds:
-            try:
-                record = run_single(config, seed)
-            except Exception as exc:  # noqa: BLE001 - isolate infrastructure failures too
-                error = f"{type(exc).__name__}: {exc}"
-                record = RunRecord(config.label, config.policy, seed, error=error)
-            records.append(record)
-        cells.append(SweepCell(config, records))
-    return cells
+    return [
+        SweepCell(config, [run_single(config, seed) for seed in config.seeds])
+        for config in configs
+    ]
 
 
 def _format(value) -> str:
@@ -286,16 +286,13 @@ def emit_outputs(cells: list[SweepCell], out_dir: str) -> list[str]:
                 float(walls.std()) if walls.size else math.nan,
                 float(sizes.mean()) if sizes.size else math.nan,
                 sum(1 for r in cell.records if r.error is not None),
-                sum(r.rebuilds for r in cell.records),
-                sum(r.resamples for r in cell.records),
-                sum(r.rejected_duplicates for r in cell.records),
+                *(sum(r.counters.get(name, 0) for r in cell.records) for name in COUNTERS),
             )
         )
     header = (
         "label,policy,seeds,mean_total_regret,std_total_regret,"
         "mean_total_wall_s,std_total_wall_s,mean_final_dictionary_size,errors,"
-        "rebuilds,resamples,rejected_duplicates"
-    )
+    ) + ",".join(COUNTERS)
     write_csv(summary_path, header, summary)
     written.append(summary_path)
 

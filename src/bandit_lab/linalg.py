@@ -105,9 +105,11 @@ class SpdInverse:
 
     ``matrix`` is the inverse itself, not the matrix it inverts.  The zero-by-
     zero case is the legal empty state that every history starts from.
+    ``jittered`` marks ``dense_spd_inverse``'s inverse of m + jitter I.
     """
 
     matrix: np.ndarray
+    jittered: bool = False
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -271,9 +273,9 @@ def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
     """Factorization-based inverse of an exactly symmetric positive definite matrix.
 
     Tries a Cholesky factorization of ``m``; if that fails and ``jitter`` is
-    positive, retries once on m + jitter * I.  A second failure raises
-    ``FactorizationError``.  This is the slow-but-trusted path: tests compare
-    the incremental inverses against it, and policies use it when rebuilding.
+    positive, retries once on m + jitter * I (a ``jittered`` result).  A second
+    failure raises ``FactorizationError``.  Tests compare the incremental
+    inverses against this slow-but-trusted path; policies rebuild through it.
 
     ``m`` must equal its transpose bit for bit, as every gram and rebuild
     matrix the package builds does, or ``ValueError`` is raised.  NaN fails
@@ -296,13 +298,14 @@ def dense_spd_inverse(m: np.ndarray, jitter: float = 0.0) -> SpdInverse:
             return None
 
     cf = factor(m)
-    if cf is None and jitter > 0:
+    jittered = cf is None and jitter > 0
+    if jittered:
         # the jittered copy is built only when the first factorization fails
         cf = factor(m + jitter * np.eye(m.shape[0]))
     if cf is None:
         raise FactorizationError("matrix not positive definite after jitter")
     inv = la.cho_solve(cf, np.eye(m.shape[0]))
-    return SpdInverse(_symmetrize(inv))
+    return SpdInverse(_symmetrize(inv), jittered)
 
 
 def in_order_inverse(m: np.ndarray) -> tuple[np.ndarray, SpdInverse]:

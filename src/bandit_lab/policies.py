@@ -12,8 +12,8 @@ Four policies share one interface (``choose(context, actions) -> index``,
   dictionary grown online by leverage-score sampling; rounds cost O(m^2) or
   O(t m) when an anchor is admitted, plus an O(t m^2) dense rebuild of Lam
   and Gam when the rank-one update's denominator is near zero or an
-  admission's Schur complement is not positive (``rebuilds``, by trigger;
-  the shipped presets make about a hundred of the second kind).
+  admission's Schur complement is not positive (``counters``, one name per
+  trigger; the shipped presets make about a hundred of the second kind).
 * ``ResamplingKernelUcb``  a baseline that keeps the dictionary frozen between
   full resamples triggered by the summed variance of its chosen actions.
 * ``UniformRandomPolicy``  uniform action choice; the regret floor.
@@ -271,6 +271,7 @@ class ExactKernelUcb(_KernelPolicy):
     def __init__(self, kernel: KernelSpec, lam: float, schedule: ExplorationSchedule):
         super().__init__(kernel, lam, schedule)
         self.k_lambda_inverse = BufferedInverse()
+        self.counters: dict[str, int] = {}  # its bordering has no recovery path
 
     @property
     def dictionary_size(self) -> int:
@@ -320,11 +321,11 @@ class ExactKernelUcb(_KernelPolicy):
 class ProjectedKernelUcb(_KernelPolicy):
     """Kernel UCB projected on a leverage-score-sampled Nystrom dictionary.
 
-    The first action is drawn uniformly.  Every observed state then
-    rank-one-updates the maintained inverse Lam, and a bordering step extends
-    it whenever the state becomes an anchor.  The first state always does: it
-    seeds the empty dictionary through those same two steps, on empty
-    matrices, so no round has formulas of its own.
+    While the dictionary is empty, actions are drawn uniformly.  Every
+    observed state rank-one-updates the maintained inverse Lam, and a
+    bordering step extends it whenever the state becomes an anchor.  The
+    state that seeds the empty dictionary does, through those same two steps
+    on empty matrices, so no round has formulas of its own.
     """
 
     def __init__(
@@ -348,17 +349,18 @@ class ProjectedKernelUcb(_KernelPolicy):
         self.lambda_inverse = SpdInverse.empty()
         self.gamma_vec = np.zeros(0)
         self._jitter = 1e-10 * kernel.kappa**2
-        # dense rebuilds by the reason that triggered them
-        self.rebuilds = {"singular_update": 0, "indefinite_admission": 0}
+        self._counts = dict.fromkeys(
+            ("rebuilds_singular_update", "rebuilds_indefinite_admission", "jitter_retries"), 0
+        )
 
     @property
     def dictionary_size(self) -> int:
         return self.dictionary.size
 
     @property
-    def rejected_duplicates(self) -> int:
-        """Near-duplicate states rejected over the run, by every dictionary it used."""
-        return self.dictionary.rejected_duplicates
+    def counters(self) -> dict[str, int]:
+        """Recovery events by name; the dictionaries count the rejected duplicates."""
+        return {**self._counts, "rejected_duplicates": self.dictionary.rejected_duplicates}
 
     @property
     def cross(self) -> np.ndarray:
@@ -368,7 +370,7 @@ class ProjectedKernelUcb(_KernelPolicy):
     def scores(self, context: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projected posterior mean and variance for every candidate."""
         if self.dictionary.size == 0:
-            raise ValueError("no scores before the bootstrap round")
+            raise ValueError("no scores before the dictionary is seeded")
         q = self._query_block(context, actions)
         kzq = self._gram(self.dictionary.packed, q)
         means = kzq.T @ (self.lambda_inverse.matrix @ self.gamma_vec)
@@ -389,7 +391,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         return _guard_variances(kdiag / self.lam + quad)
 
     def choose(self, context: np.ndarray, actions: np.ndarray) -> int:
-        if self.t == 0:
+        if self.dictionary.size == 0:
             return int(self.rng.integers(np.atleast_2d(actions).shape[0]))
         means, var = self.scores(context, actions)
         idx = self._ucb(means, var, "projected", self.kors.mu, float(self.dictionary.size))
@@ -398,15 +400,16 @@ class ProjectedKernelUcb(_KernelPolicy):
         return idx
 
     def _bootstrap(self, row: np.ndarray, k_self: float, reward: float) -> None:
-        """Admit the first state without a coin, so ``scores`` has an anchor to project on.
+        """Seed the empty dictionary with s, without a coin, so ``scores`` has an anchor.
 
         An empty dictionary's coin would be min(gamma 1.5 k / (k + mu), 1), below 1
         whenever gamma 1.5 k < k + mu (0.68 on the benchmark's ``nystrom_bump``), so
-        a coin could leave the dictionary empty.
+        a coin could leave the dictionary empty.  A refused state, k(s, s) below the
+        admission floor, is kept with a zero-width cross row, and the next one is offered.
         """
         self._append_state(row, np.zeros(0), reward)
-        self.dictionary.seed(row, k_self)
-        self._admit_anchor(row, np.zeros(0), k_self)
+        if self.dictionary.seed(row, k_self):
+            self._admit_anchor(row, np.zeros(0), k_self)
 
     def _append_state(self, row: np.ndarray, kz: np.ndarray, reward: float) -> None:
         """No-add branch shared with the resampling baseline."""
@@ -416,7 +419,7 @@ class ProjectedKernelUcb(_KernelPolicy):
             self.lambda_inverse = sherman_morrison_update(self.lambda_inverse, kz)
             self.gamma_vec = self.gamma_vec + reward * kz
         except LinalgError:
-            self.rebuilds["singular_update"] += 1
+            self._counts["rebuilds_singular_update"] += 1
             self.refactor()
 
     def _admit_anchor(self, row: np.ndarray, kz: np.ndarray, k_self: float) -> None:
@@ -437,13 +440,13 @@ class ProjectedKernelUcb(_KernelPolicy):
         try:
             self.lambda_inverse = schur_extend(self.lambda_inverse, b, c)
         except LinalgError:
-            self.rebuilds["indefinite_admission"] += 1
+            self._counts["rebuilds_indefinite_admission"] += 1
             self.refactor()
 
     def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
         row = self._row(context, action)
         k_self = float(self._diag(row[None, :])[0])
-        if self.t == 0:
+        if self.dictionary.size == 0:
             self._bootstrap(row, k_self, reward)
             return
         kz = self._column(self.dictionary.packed, row)
@@ -462,6 +465,7 @@ class ProjectedKernelUcb(_KernelPolicy):
         kzs = self.cross
         kzz = self._gram(self.dictionary.packed, self.dictionary.packed)
         self.lambda_inverse = dense_spd_inverse(kzs @ kzs.T + self.lam * kzz, jitter=self._jitter)
+        self._counts["jitter_retries"] += self.lambda_inverse.jittered
         self.gamma_vec = kzs @ self.rewards
 
 
@@ -495,11 +499,15 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
             raise ValueError("accumulation_threshold must be at least 1")
         self.accumulation_threshold = accumulation_threshold
         self.accumulated_variance = 0.0
-        self.resample_count = 0
+        self._counts["resamples"] = 0
+
+    @property
+    def resample_count(self) -> int:
+        return self._counts["resamples"]
 
     def update(self, context: np.ndarray, action: np.ndarray, reward: float) -> None:
         row = self._row(context, action)
-        if self.t == 0:
+        if self.dictionary.size == 0:
             self._bootstrap(row, float(self._diag(row[None, :])[0]), reward)
             return
         kz = self._column(self.dictionary.packed, row)
@@ -517,7 +525,7 @@ class ResamplingKernelUcb(ProjectedKernelUcb):
         self._cross = GrowableMatrix(self._gram(self.dictionary.packed, self.history).T)
         self._dense_posterior()
         self.accumulated_variance = 0.0
-        self.resample_count += 1
+        self._counts["resamples"] += 1
 
 
 class UniformRandomPolicy:
@@ -526,6 +534,7 @@ class UniformRandomPolicy:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.t = 0
+        self.counters: dict[str, int] = {}
 
     @property
     def dictionary_size(self) -> int:

@@ -172,7 +172,7 @@ def test_bad_key_is_a_json_error(config_file, capsys):
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
 def test_failed_run_exits_nonzero(verb, config_file, tmp_path, capsys, monkeypatch):
-    def fail(self, s, reward):
+    def fail(self, context, action, reward):
         raise NumericalDriftError("injected")
 
     # the run ends inside its loop, as a drifting policy's would

@@ -17,7 +17,7 @@ from dataclasses import replace
 from importlib import resources
 
 from bandit_lab.config import build_run_config, expand_variants, parse_config_text
-from bandit_lab.harness import emit_outputs, run_sweep, write_diagnostics
+from bandit_lab.harness import COUNTERS, emit_outputs, run_sweep, write_diagnostics
 
 POLICIES = ("kucb", "ekucb", "cbkb", "cbbkb", "random")
 
@@ -38,7 +38,9 @@ DIGESTS = {
     "dictionary_ekucb_0.csv": "6cf09ba9d416b0b785f17cf1729cab107602dfa79cf4d3ab46ca2e1ab0a0c402",
     "dictionary_ekucb_1.csv": "c43f3ed8c4100efd03966d37f14f5266ce018be08f4de390c08d4b3aae316aca",
     "regret.svg": "0f717da87417aab38ffdf6fa5929624ff72f13ccaae7bfd2961ca3df59f20a06",
-    "summary.csv": "ca677d2032bef2f4e9dc839772e0487352f7cf925bb8f5df2f92d1377a04b855",
+    # re-pinned when the summary's rebuilds column split by trigger and a
+    # jitter_retries column was added: its header and counter columns moved
+    "summary.csv": "47ab8d5bc3c4602dd92b6ec9a551632572afa5edb8e30d4d6c0af0de2c26a296",
     "trace_cbbkb_0.csv": "cb4d862809cc20711e7a93041c87b8d13ef2539fb7d25e48387947196bbef776",
     "trace_cbbkb_1.csv": "53001520ebd864c9dff690ad2e3843b92e526d129f04a786cef52c8ad93ac620",
     "trace_cbkb_0.csv": "3d9f9a80b56afdece7b84f4549f3b9ad4bee2e67111fe051ca47b6838f644842",
@@ -60,8 +62,8 @@ RECOVERY_CELLS = (
     ("stepdiag_sweep", "cbbkb_c10", 2),
 )
 
-# (rounds, rebuilds, resamples, rejected duplicates) of each recovery cell
-RECOVERY_COUNTS = [(229, 4, 0, 161), (26, 0, 25, 10), (120, 0, 1, 39)]
+# (rounds, then the counters in summary.csv's column order) of each recovery cell
+RECOVERY_COUNTS = [(229, 0, 4, 0, 0, 161), (26, 0, 0, 0, 25, 10), (120, 0, 0, 0, 1, 39)]
 
 # re-pinned when the projected update went to one rule per step: one
 # Sherman-Morrison product, k(s, s) from diag_packed, plain column doubling
@@ -69,13 +71,14 @@ RECOVERY_COUNTS = [(229, 4, 0, 161), (26, 0, 25, 10), (120, 0, 1, 39)]
 # its dump moved in the last bits of the inclusion probabilities.  The ekucb
 # cell's files and the summary were re-pinned again when admission took its
 # relative pivot floor and a rebuild stopped replacing the dictionary's
-# inverses: the cell now plays 229 rounds before it aborts, not 51
+# inverses: the cell now plays 229 rounds before it aborts, not 51.  The
+# summary alone was re-pinned when its counter columns changed as above
 RECOVERY_DIGESTS = {
     "dictionary_cbbkb_c10_2.csv": "51fdd970b7ded257f01e07c63e19392d4646bc918b30ee5d79da325522a42003",
     "dictionary_cbkb_2.csv": "c01f745f28cbdaaef5ba1a31b6aa4fba1297c73129115932b1000e33496a9331",
     "dictionary_ekucb_mu1_2.csv": "7bc04eadd6cf8a8c7b605ce2af3737673dd20649636a4a7e9a5ceeb64b2dff94",
     "regret.svg": "32979ba379ae6d2c6c25ffad2cbf0d130b899842430f7aef6d5e6315255706e8",
-    "summary.csv": "43030638d888128ba7a9e124b58ef0bc7c13fe9e581c472eb90a31a950d71c09",
+    "summary.csv": "ea6deb3303bb561796f236cf6fce36053e07c95ce3994095f217bd388b2cb40d",
     "trace_cbbkb_c10_2.csv": "53184059e5a7942a9147de6f8eda419118180cd12e85ddda7609be510b7deeac",
     "trace_cbkb_2.csv": "5b5960378589ceb49dd21a05c3ef3a6e6ca0412e9235309014c22928be5773e2",
     "trace_ekucb_mu1_2.csv": "2027d42fc4802625782c41e6c13c9c532efc6b5ae3f35c40e0dcade95b848563",
@@ -161,7 +164,7 @@ def recovery_configs():
 def test_recovery_paths_keep_their_bytes(tmp_path):
     cells = run_sweep(recovery_configs())
     records = [cell.records[0] for cell in cells]
-    counts = [(r.rounds, r.rebuilds, r.resamples, r.rejected_duplicates) for r in records]
+    counts = [(r.rounds, *(r.counters.get(name, 0) for name in COUNTERS)) for r in records]
     assert counts == RECOVERY_COUNTS
     assert all(r.error.startswith("NumericalDriftError") for r in records)
     out = str(tmp_path / "out")

@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bandit_lab import linalg
 from bandit_lab.config import build_run_config
 from bandit_lab.dictionary import KorsParams, rebuild_dictionary
 from bandit_lab.harness import (
+    COUNTERS,
     NONDETERMINISTIC_COLUMNS,
     TRACE_COLUMNS,
+    SweepCell,
     build_policy,
     diagnostic_checkpoints,
     emit_outputs,
@@ -22,9 +25,16 @@ from bandit_lab.harness import (
     write_diagnostics,
     write_trace,
 )
-from bandit_lab.linalg import SingularUpdateError, sherman_morrison_update
+from bandit_lab.linalg import (
+    FactorizationError,
+    NearSingularExtensionError,
+    SingularUpdateError,
+    schur_extend,
+    sherman_morrison_update,
+)
 from bandit_lab.policies import (
     ExactKernelUcb,
+    NumericalDriftError,
     ProjectedKernelUcb,
     ResamplingKernelUcb,
     UniformRandomPolicy,
@@ -134,9 +144,12 @@ def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
         patch.setattr("bandit_lab.policies.sherman_morrison_update", singular_once)
         ekucb = run_single(small_config(**{"policy.name": "ekucb"}), 0)
     assert ekucb.error is None and len(calls) == ekucb.rounds
-    assert (ekucb.rebuilds, ekucb.resamples) == (1, 0)
+    assert ekucb.counters["rebuilds_singular_update"] == 1
+    assert ekucb.counters["rebuilds_indefinite_admission"] == 0
+    assert "resamples" not in ekucb.counters
     cbkb = run_single(small_config(**{"policy.name": "cbkb"}), 0)
-    assert (cbkb.rebuilds, cbkb.resamples) == (0, cbkb.rounds - 1)
+    assert cbkb.counters["rebuilds_singular_update"] == 0
+    assert cbkb.counters["resamples"] == cbkb.rounds - 1
     # a linear kernel has rank at most the joint dimension, so each resample
     # drops most of the states it offers as duplicates; the run counts the
     # drops of every dictionary, not only of the last one
@@ -150,26 +163,140 @@ def test_run_single_counts_rebuilds_and_resamples(monkeypatch):
     monkeypatch.setattr("bandit_lab.dictionary.rebuild_dictionary", counted)
     config = small_config(**{"policy.name": "cbkb", "kernel.family": "linear"})
     cbkb = run_single(config, 0)
-    assert cbkb.error is None and len(dropped) == cbkb.resamples == cbkb.rounds - 1
-    assert cbkb.rejected_duplicates == sum(dropped) > max(dropped)
+    assert cbkb.error is None and len(dropped) == cbkb.counters["resamples"] == cbkb.rounds - 1
+    assert cbkb.counters["rejected_duplicates"] == sum(dropped) > max(dropped)
 
 
 def test_run_single_marks_failures(monkeypatch):
-    # a policy that cannot be constructed fails before the first round
+    # a policy that cannot be constructed is a fault, not an abort: it leaves
+    # run_single and the sweep, whose other cells are not run
     config = small_config(**{"policy.name": "cbbkb"})
+    ran = []
 
     def build_or_fail(cfg, seed):
+        ran.append(cfg.policy)
         if cfg.policy == "cbbkb":
             raise ValueError("policy construction failed")
         return build_policy(cfg, seed)
 
     monkeypatch.setattr("bandit_lab.harness.build_policy", build_or_fail)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="construction"):
         run_single(config, 0)
-    cells = run_sweep([config, small_config()])
-    assert all(r.error is not None for r in cells[0].records)
-    assert all(r.error is None for r in cells[1].records)
-    assert cells[0].total_regrets.size == 0  # failed runs never enter statistics
+    with pytest.raises(ValueError, match="construction"):
+        run_sweep([small_config(**{"run.seeds": "0"}), config, small_config()])
+    assert ran == ["cbbkb", "kucb", "cbbkb"]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [NumericalDriftError("drift"), FactorizationError("singular"), RuntimeError("bug")],
+    ids=["drift", "linalg", "bug"],
+)
+def test_only_a_drift_abort_ends_a_run_with_its_record(monkeypatch, exc):
+    # NumericalDriftError and LinalgError end the run and keep the rounds
+    # played and the counters; any other exception raised inside a round is a
+    # fault and leaves the sweep
+    update = ProjectedKernelUcb.update
+
+    def fail_at_round_8(self, *args):
+        if self.t == 8:
+            raise exc
+        update(self, *args)
+
+    monkeypatch.setattr(ProjectedKernelUcb, "update", fail_at_round_8)
+    config = small_config(**{"policy.name": "ekucb", "run.seeds": "0,1"})
+    if isinstance(exc, RuntimeError):
+        with pytest.raises(RuntimeError, match="bug"):
+            run_sweep([config])
+        return
+    (cell,) = run_sweep([config])
+    error = f"{type(exc).__name__}: {exc}"
+    assert [(r.rounds, r.error) for r in cell.records] == [(8, error)] * 2
+    assert cell.total_regrets.size == 0  # aborted runs never enter statistics
+    assert set(cell.records[0].counters) == set(COUNTERS) - {"resamples"}
+
+
+def fails_at(n, real, exc):
+    """``real``, except that its n-th call raises ``exc``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise exc
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+class FirstCholeskyFails:
+    """``scipy.linalg``, except that its first ``cho_factor`` fails, as on a singular matrix."""
+
+    def __init__(self, real):
+        self.real = real
+        self.cho_factor = fails_at(1, real.cho_factor, np.linalg.LinAlgError("forced"))
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def test_summary_counts_every_recovery_path(tmp_path, monkeypatch):
+    # each run forces a recovery path, and summary.csv's column reads its count
+    def indefinite_third_admission():
+        return {"policies.schur_extend": fails_at(3, schur_extend, NearSingularExtensionError("x"))}
+
+    first_cholesky_fails = FirstCholeskyFails(linalg._lapack())
+    runs = {  # label: (config keys, patches, counters other than rejected_duplicates)
+        "singular": (
+            {"policy.name": "ekucb"},
+            {"policies.sherman_morrison_update": fails_at(
+                10, sherman_morrison_update, SingularUpdateError("x")
+            )},
+            (1, 0, 0, 0),
+        ),
+        "indefinite": ({"policy.name": "ekucb"}, indefinite_third_admission(), (0, 1, 0, 0)),
+        # the rebuild's Lam fails its first Cholesky and takes the jittered retry
+        "jittered": (
+            {"policy.name": "ekucb"},
+            {**indefinite_third_admission(), "linalg._lapack": lambda: first_cholesky_fails},
+            (0, 1, 1, 0),
+        ),
+        "resampled": ({"policy.name": "cbkb"}, {}, (0, 0, 0, 24)),
+        # a linear kernel spans the 6-d joint space with 6 anchors and refuses the rest
+        "duplicates": ({"policy.name": "ekucb", "kernel.family": "linear"}, {}, (0, 0, 0, 0)),
+    }
+    cells = []
+    for label, (keys, patches, _) in runs.items():
+        config = small_config(**keys, **{"run.label": label, "run.seeds": "0"})
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(f"bandit_lab.{name}", value)
+            record = run_single(config, 0)
+        assert record.error is None and record.rounds == 25
+        cells.append(SweepCell(config, [record]))
+    emit_outputs(cells, str(tmp_path))
+    with open(tmp_path / "summary.csv") as fh:
+        rows = {row["label"]: row for row in csv.DictReader(fh)}
+    for label, (_, _, counts) in runs.items():
+        assert tuple(int(rows[label][name]) for name in COUNTERS[:4]) == counts, label
+    assert int(rows["duplicates"]["rejected_duplicates"]) > 0
+    assert cells[-1].records[0].final_dictionary_size == 6
+
+
+def test_summary_header_is_the_same_whatever_policies_ran(tmp_path):
+    def sweep(names):
+        configs = [small_config(**{"policy.name": n, "run.label": n, "run.T": "6"}) for n in names]
+        cells = run_sweep(configs)
+        emit_outputs(cells, str(tmp_path / "_".join(names)))
+        with open(tmp_path / "_".join(names) / "summary.csv") as fh:
+            return fh.readline(), cells
+
+    few, _ = sweep(("kucb", "random"))
+    every, cells = sweep(("kucb", "ekucb", "cbkb", "cbbkb", "random"))
+    assert few == every and few.rstrip("\n").endswith(",errors," + ",".join(COUNTERS))
+    # every name a policy reports has its column, and every column a reporter
+    reported = {name for cell in cells for r in cell.records for name in r.counters}
+    assert reported == set(COUNTERS)
 
 
 def test_sweep_runs_each_cell_on_the_calling_thread_in_job_order(monkeypatch):
@@ -275,8 +402,8 @@ def test_emit_outputs(tmp_path):
         assert int(row["errors"]) == 0
         assert float(row["mean_total_regret"]) >= 0.0
         assert float(row["mean_total_wall_s"]) > 0.0
-        assert (row["rebuilds"], row["resamples"]) == ("0", "0")
-    assert list(rows[0])[-3:] == ["rebuilds", "resamples", "rejected_duplicates"]
+        assert [row[name] for name in COUNTERS[:4]] == ["0"] * 4
+    assert tuple(rows[0])[-5:] == COUNTERS
     assert rows[0]["rejected_duplicates"] == "0"
     assert float(rows[1]["mean_final_dictionary_size"]) > 0
     with open(tmp_path / "dictionary_sparse_0.csv") as fh:

@@ -53,6 +53,6 @@ def test_tracer_patches_every_target_and_records_kors_steps():
     # policies score candidates in choose only, once per round after the
     # bootstrap; the resampling update scores its state without scores()
     assert calls["policies.scores"] == (ekucb.rounds - 1) + (cbkb.rounds - 1)
-    assert calls["dictionary.rebuild_dictionary"] == cbkb.resamples
+    assert calls["dictionary.rebuild_dictionary"] == cbkb.counters["resamples"]
     kept = tr.counts["dictionary.rebuild_kept"]
     assert tr.counts["dictionary.rebuild_states"] >= kept > 0

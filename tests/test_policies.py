@@ -362,11 +362,7 @@ def test_kernel_work_per_round(monkeypatch, name, per_round):
 
     def extra_work():
         # anchors admitted, resamples and dense rebuilds, each a gram of its own
-        return (
-            policy.dictionary_size,
-            getattr(policy, "resample_count", 0),
-            sum(getattr(policy, "rebuilds", {}).values()),
-        )
+        return (policy.dictionary_size, *policy.counters.values())
 
     checked = 0
     for t in range(60):
@@ -568,7 +564,9 @@ def test_correction_is_built_once_per_round(monkeypatch, name):
         idx = policy.choose(x, actions)
         policy.update(x, actions[idx], rng.normal())
         work_now = (policy.dictionary_size, getattr(policy, "resample_count", 0))
-        if t > 0 and work_now == work and not any(policy.rebuilds.values()):
+        counts = policy.counters
+        rebuilt = counts["rebuilds_singular_update"] + counts["rebuilds_indefinite_admission"]
+        if t > 0 and work_now == work and not rebuilt:
             assert len(seen) - start == 1
             checked += 1
     assert checked >= 10
@@ -663,7 +661,7 @@ def test_indefinite_admission_recovers_via_dense_rebuild():
     policy.lambda_inverse = SpdInverse(policy.lambda_inverse.matrix * 1e9)
     policy.update(*random_state(rng), 0.5)
     assert policy.dictionary.size == 7
-    assert policy.rebuilds["indefinite_admission"] == 1
+    assert policy.counters["rebuilds_indefinite_admission"] == 1
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
@@ -714,6 +712,7 @@ def test_refactor_retries_a_singular_anchor_gram_with_jitter(monkeypatch):
     assert policy.dictionary.score_inverse is kept[1]
     want = dense_spd_inverse(base, jitter=policy._jitter)
     assert np.array_equal(policy.lambda_inverse.matrix, want.matrix)
+    assert policy.lambda_inverse.jittered and policy.counters["jitter_retries"] == 1
 
 
 def test_a_preset_run_s_anchor_gram_factors_in_admission_order(monkeypatch):
@@ -761,7 +760,8 @@ def test_admission_in_the_jitter_window_rebuilds(monkeypatch):
     monkeypatch.setattr(policies, "kors_step", admit_then_drift)
     policy.update(*random_state(rng), 0.5)
     assert policy.dictionary.size == 7
-    assert policy.rebuilds == {"singular_update": 0, "indefinite_admission": 1}
+    counts = policy.counters
+    assert (counts["rebuilds_singular_update"], counts["rebuilds_indefinite_admission"]) == (0, 1)
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
@@ -780,7 +780,7 @@ def test_singular_rank_one_update_recovers_via_dense_rebuild():
         -np.eye(1) * (1.0 - 1e-14) / float(kz @ kz)
     )
     policy.update(x, a, -0.25)
-    assert policy.rebuilds["singular_update"] == 1
+    assert policy.counters["rebuilds_singular_update"] == 1
     want = dense_projected_oracle(policy)
     assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-9
     assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-9)
@@ -868,10 +868,65 @@ def test_infinite_gamma_draws_a_zero_score_state(name):
         warnings.simplefilter("error")
         for x, a in states:
             policy.update(np.array(x), np.array(a), 1.0)
-    assert policy.rejected_duplicates == 1
+    assert policy.counters["rejected_duplicates"] == 1
     assert policy.dictionary.size == 2
     if name == "cbkb":
         assert policy.resample_count == 1
+
+
+def linear_policy(name, gamma=1.0):
+    """An ``ekucb`` or ``cbkb`` policy on a linear kernel, where the zero state has k(s, s) = 0."""
+    linear = KernelSpec("linear", kappa=math.sqrt(3.0))
+    kors = KorsParams(mu=1.0, gamma=gamma)
+    rngs = dict(policy_rng=np.random.default_rng(50), kors_rng=np.random.default_rng(51))
+    if name == "ekucb":
+        return ProjectedKernelUcb(linear, 1.0, kors, FIXED, **rngs)
+    return ResamplingKernelUcb(linear, 1.0, kors, FIXED, **rngs, accumulation_threshold=1.0)
+
+
+def check_seeded_by_the_next_state(policy):
+    """An empty dictionary: choose draws uniformly, and the next admissible state seeds it."""
+    assert policy.dictionary.size == 0 and policy.lambda_inverse.dim == 0
+    actions = np.linspace(0.0, 1.0, 5)[:, None]
+    x = np.array([0.5, 0.25])
+    idx = policy.choose(x, actions)
+    assert idx == np.random.default_rng(50).integers(5)  # the policy stream's first draw
+    t = policy.t
+    policy.update(x, actions[idx], 0.5)
+    assert policy.dictionary.size == 1 and policy.dictionary.packed[0][0] == 0.5
+    want = dense_projected_oracle(policy)
+    assert policy.cross.shape == (1, t + 1)
+    assert np.allclose(policy.cross, want["cross"], atol=1e-12)
+    assert rel_drift(policy.lambda_inverse.matrix, want["lambda_inverse"]) < 1e-12
+    assert np.allclose(policy.gamma_vec, want["gamma_vec"], atol=1e-12)
+    assert np.isfinite(policy.scores(x, actions)).all()
+
+
+@pytest.mark.parametrize("name", ["ekucb", "cbkb"])
+def test_a_refused_first_state_leaves_the_dictionary_empty(name):
+    # the zero state is below the admission floor, so it cannot seed the
+    # dictionary: it is stored, with a zero-width cross row, and counted
+    policy = linear_policy(name)
+    policy.update(np.zeros(2), np.zeros(1), 1.0)
+    assert policy.t == 1 and policy.cross.shape == (0, 1)
+    assert policy.counters["rejected_duplicates"] == 1
+    with pytest.raises(ValueError, match="seeded"):
+        policy.scores(np.zeros(2), np.zeros((1, 1)))
+    check_seeded_by_the_next_state(policy)
+
+
+def test_a_resample_that_keeps_no_state_leaves_the_dictionary_empty():
+    # a resample keeps no state when every state it draws is dropped as a
+    # duplicate: here the history is the zero state alone, whose pivot is 0.
+    # Online, a seeded dictionary keeps a state with a pivot above the floor
+    # in every resample, so the resample is called directly
+    policy = linear_policy("cbkb")
+    policy.update(np.zeros(2), np.zeros(1), 1.0)
+    policy._resample()
+    assert policy.counters["resamples"] == 1
+    assert policy.counters["rejected_duplicates"] == 2  # the seed's and the resample's
+    assert policy.accumulated_variance == 0.0
+    check_seeded_by_the_next_state(policy)
 
 
 @pytest.mark.parametrize("threshold", [math.inf, 4.0])
